@@ -10,8 +10,8 @@
 // (costs, encode/probe/conflict counters, solve times) on stdout, and
 // -baseline compares the run against a committed snapshot, failing on an
 // encode-count regression (sat_encodes ≠ 1), a bound-probe count above the
-// recorded baseline, a cost change, or a lost minimality proof — the CI
-// bench smoke gate.
+// recorded baseline, more single-thread SAT conflicts than the baseline, a
+// cost change, or a lost minimality proof — the CI bench smoke gate.
 //
 // Usage:
 //
@@ -19,6 +19,7 @@
 //	        [-runs 5] [-names a,b,c] [-summary] [-timeout 30s]
 //	        [-parallel] [-workers 8] [-lower-bound on|off]
 //	        [-cost-model paper|swap=<n>,h=<n>] [-calibration cal.json]
+//	        [-cpuprofile cpu.prof]
 //	qxbench -batch exact [-workers 8] [-job-timeout 10s] [-portfolio]
 //	        [-sat-binary] [-sat-threads 4] [-json] [-baseline BENCH_5.json]
 //	        [-probe-budget BENCH_6.json]
@@ -41,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -70,12 +72,24 @@ func main() {
 	satThreads := flag.Int("sat-threads", 1, "clause-sharing SAT portfolio width (capped at GOMAXPROCS); >1 trades run-to-run witness determinism for parallel speed")
 	lowerBound := flag.String("lower-bound", "on", "admissible lower-bound seeding of the SAT descent: on or off")
 	jsonOut := flag.Bool("json", false, "emit a stable JSON perf snapshot of the batch on stdout (-batch mode)")
-	baseline := flag.String("baseline", "", "compare the batch against this committed perf snapshot and fail on encode/probe/cost regressions (-batch mode)")
+	baseline := flag.String("baseline", "", "compare the batch against this committed perf snapshot and fail on encode/probe/conflict/cost regressions (-batch mode)")
 	probeBudget := flag.String("probe-budget", "", "cap the run's TOTAL bound probes at this snapshot's total, requiring identical per-benchmark costs — the cross-method gate proving the §4.1 shared instance spends no more probes than the plain exact descent (-batch mode)")
 	storeDir := flag.String("store", "", "persistent result store directory (-batch mode): solved instances are written through and identical reruns are served from disk with zero SAT work")
 	costModel := flag.String("cost-model", "", "cost model: paper (default 7/4) or swap=<n>,h=<n> for uniform rescaling")
 	calibration := flag.String("calibration", "", "calibration JSON file with per-edge weights or error rates (overrides -cost-model)")
+	cpuProfilePath := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
 	flag.Parse()
+	if *cpuProfilePath != "" {
+		f, err := os.Create(*cpuProfilePath)
+		if err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+		cpuProfile = f
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+		defer stopCPUProfile()
+	}
 
 	noLowerBound := false
 	switch *lowerBound {
@@ -325,7 +339,7 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 		if err := compareBaseline(snap, cfg.baseline); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "qxbench: baseline %s: no encode, probe or cost regressions\n", cfg.baseline)
+		fmt.Fprintf(os.Stderr, "qxbench: baseline %s: no encode, probe, conflict or cost regressions\n", cfg.baseline)
 	}
 	if cfg.probeBudget != "" {
 		if err := compareProbeBudget(snap, cfg.probeBudget); err != nil {
@@ -334,6 +348,7 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 		fmt.Fprintf(os.Stderr, "qxbench: probe budget %s: total bound probes within budget at identical costs\n", cfg.probeBudget)
 	}
 	if failures > 0 {
+		stopCPUProfile()
 		os.Exit(1)
 	}
 }
@@ -344,7 +359,9 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 // report sat_encodes == 1 per solved instance (the incremental-descent
 // invariant for the plain exact method), a bound-probe count no higher
 // than the baseline's, an identical cost, and no lost minimality proof (a
-// row the baseline proved minimal must stay proven).
+// row the baseline proved minimal must stay proven). Where both the run and
+// the baseline solved a row on one SAT thread, its conflict count is
+// deterministic, so spending more conflicts than the baseline fails too.
 func compareBaseline(snap batchSnapshot, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -371,6 +388,9 @@ func compareBaseline(snap batchSnapshot, path string) error {
 		}
 		if r.Stats.BoundProbes > b.Stats.BoundProbes {
 			return fmt.Errorf("baseline regression: %s used %d bound probes, baseline %d", b.Name, r.Stats.BoundProbes, b.Stats.BoundProbes)
+		}
+		if r.Stats.SATThreads == 1 && b.Stats.SATThreads == 1 && r.Stats.SATConflicts > b.Stats.SATConflicts {
+			return fmt.Errorf("baseline regression: %s spent %d SAT conflicts, baseline %d", b.Name, r.Stats.SATConflicts, b.Stats.SATConflicts)
 		}
 		if r.Cost != b.Cost {
 			return fmt.Errorf("baseline regression: %s cost %d, baseline %d", b.Name, r.Cost, b.Cost)
@@ -431,5 +451,23 @@ func compareProbeBudget(snap batchSnapshot, path string) error {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "qxbench:", err)
+	stopCPUProfile()
 	os.Exit(1)
+}
+
+// cpuProfile is the -cpuprofile file while a CPU profile runs. Every exit
+// path calls stopCPUProfile: main's return as well as fatal.
+var cpuProfile *os.File
+
+// stopCPUProfile ends the CPU profile, if one runs, and closes its file.
+// Stopping a profile that never started is a no-op.
+func stopCPUProfile() {
+	if cpuProfile == nil {
+		return
+	}
+	pprof.StopCPUProfile()
+	if err := cpuProfile.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "qxbench: -cpuprofile:", err)
+	}
+	cpuProfile = nil
 }

@@ -6,7 +6,8 @@
 //	qxmap [-arch ibmqx4] [-method exact] [-strategy all|disjoint|odd|triangle]
 //	      [-engine sat|dp] [-sat-binary] [-sat-threads 4] [-portfolio] [-timeout 30s]
 //	      [-cost-model paper|swap=<n>,h=<n>] [-calibration cal.json]
-//	      [-runs 5] [-render] [-stats] [-json] [-o out.qasm] input.qasm
+//	      [-runs 5] [-render] [-stats] [-json] [-cpuprofile cpu.prof]
+//	      [-o out.qasm] input.qasm
 //
 // With input "-", the program reads from standard input. The mapped
 // circuit is written as QASM to -o (default: stdout), preceded by a cost
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -61,7 +63,19 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "solve deadline (0 = none), e.g. 30s or 2m")
 	stats := flag.Bool("stats", false, "report per-stage pipeline timings and solver counters on stderr")
 	jsonOut := flag.Bool("json", false, "write the stable JSON result encoding (mapped QASM included) instead of bare QASM")
+	cpuProfilePath := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
 	flag.Parse()
+	if *cpuProfilePath != "" {
+		f, err := os.Create(*cpuProfilePath)
+		if err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+		cpuProfile = f
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(fmt.Errorf("-cpuprofile: %w", err))
+		}
+		defer stopCPUProfile()
+	}
 
 	if flag.NArg() != 1 {
 		fatal(fmt.Errorf("expected exactly one input file (or -), got %d args", flag.NArg()))
@@ -239,5 +253,23 @@ func readInput(path string) (string, error) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "qxmap:", err)
+	stopCPUProfile()
 	os.Exit(1)
+}
+
+// cpuProfile is the -cpuprofile file while a CPU profile runs. Every exit
+// path calls stopCPUProfile: main's return as well as fatal.
+var cpuProfile *os.File
+
+// stopCPUProfile ends the CPU profile, if one runs, and closes its file.
+// Stopping a profile that never started is a no-op.
+func stopCPUProfile() {
+	if cpuProfile == nil {
+		return
+	}
+	pprof.StopCPUProfile()
+	if err := cpuProfile.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "qxmap: -cpuprofile:", err)
+	}
+	cpuProfile = nil
 }

@@ -12,6 +12,10 @@ type ClauseRef int32
 // NilRef is the "no clause" sentinel, used for decision/assumption reasons.
 const NilRef ClauseRef = -1
 
+// binFlag tags a watcher's ref as a binary clause (see watcher). Refs
+// themselves never reach it: alloc refuses to grow the arena that far.
+const binFlag ClauseRef = 1 << 30
+
 // Arena clause layout, in int32 words starting at the ref:
 //
 //	[ref+0] size<<2 | learnt<<1 | deleted
@@ -42,10 +46,20 @@ type arena struct {
 
 // alloc appends a clause and returns its ref.
 func (a *arena) alloc(lits []Lit, learnt bool) ClauseRef {
+	if len(a.data) >= int(binFlag) {
+		panic("sat: clause arena exceeds 2^30 words")
+	}
 	ref := ClauseRef(len(a.data))
 	hdr := Lit(len(lits) << flagBits)
 	if learnt {
 		hdr |= flagLearnt
+	}
+	if need := len(a.data) + headerWords + len(lits); need > cap(a.data) {
+		// Double, where append would grow a large slab by only a quarter
+		// and so copy it whole several times as often.
+		grown := make([]Lit, len(a.data), max(need, 2*cap(a.data)))
+		copy(grown, a.data)
+		a.data = grown
 	}
 	a.data = append(a.data, hdr, 0, 0)
 	a.data = append(a.data, lits...)
@@ -80,19 +94,6 @@ func (a *arena) activity(c ClauseRef) float64 {
 
 func (a *arena) setActivity(c ClauseRef, v float64) {
 	a.data[c+2] = Lit(int32(math.Float32bits(float32(v))))
-}
-
-// shrink drops the literal at index i ≥ 2 (self-subsumption strengthening),
-// compacting the literal block in place. The freed word is tombstone waste.
-func (a *arena) shrink(c ClauseRef, i int) {
-	n := a.size(c)
-	ls := a.lits(c)
-	ls[i] = ls[n-1]
-	a.data[c] = Lit((n-1)<<flagBits) | (a.data[c] & (flagLearnt | flagDeleted))
-	// The trailing word is now dead; make it an innocuous zero and account
-	// for it so GC pressure still builds up.
-	a.data[int(c)+headerWords+n-1] = 0
-	a.wasted++
 }
 
 // gcInto copies every live clause reachable from refs into dst (in list

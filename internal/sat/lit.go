@@ -65,24 +65,6 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
-// litValue computes the value of a literal given its variable's value.
-func litValue(assign lbool, l Lit) lbool {
-	if assign == lUndef {
-		return lUndef
-	}
-	if l.IsPos() == (assign == lTrue) {
-		return lTrue
-	}
-	return lFalse
-}
-
 // Status is the result of a Solve call.
 type Status int
 

@@ -2,11 +2,14 @@ package sat
 
 import (
 	"context"
+	"slices"
 	"sort"
 )
 
 // watcher pairs a watching clause with a blocker literal: if the blocker is
-// already true the clause is satisfied and need not be inspected.
+// already true the clause is satisfied and need not be inspected. A ref
+// tagged with binFlag marks a binary clause, whose blocker is always its
+// other literal, so propagation settles it without reading the arena.
 type watcher struct {
 	ref     ClauseRef
 	blocker Lit
@@ -70,8 +73,8 @@ type Solver struct {
 	learnts []ClauseRef
 	watches [][]watcher
 
-	assigns  []lbool
-	polarity []bool // saved phase per variable
+	vals     []lbool // value per literal, indexed by Lit
+	polarity []bool  // saved phase per variable
 	reason   []ClauseRef
 	level    []int32
 	trail    []Lit
@@ -88,6 +91,14 @@ type Solver struct {
 	// once per stamp epoch.
 	levelMark []int64
 	lbdStamp  int64
+
+	// Scratch buffers reused across calls so that conflict analysis and
+	// clause addition do not allocate: the learnt clause analyze returns
+	// (valid until the next conflict), the seen flags it must clear, and
+	// AddClause's normalized copy of its input.
+	learntBuf []Lit
+	toClear   []Lit
+	addBuf    []Lit
 
 	unsat bool    // empty clause derived at level 0
 	model []lbool // last satisfying assignment
@@ -129,15 +140,15 @@ func NewSolver() *Solver { return New(Options{}) }
 func (s *Solver) Snapshot() Stats { return s.stats }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef) // v.Pos(), v.Neg()
 	s.polarity = append(s.polarity, false)
 	s.reason = append(s.reason, NilRef)
 	s.level = append(s.level, 0)
@@ -148,7 +159,7 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-func (s *Solver) value(l Lit) lbool { return litValue(s.assigns[l.Var()], l) }
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
 
 // Value returns the model value of v after a Sat result. Variables created
 // after the last Solve report false.
@@ -172,8 +183,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0)
 	// Normalize: sort, dedupe, drop false literals, detect tautology and
 	// satisfied clauses.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	slices.Sort(ls)
+	s.addBuf = ls
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
@@ -215,8 +227,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 
 func (s *Solver) watchClause(c ClauseRef) {
 	ls := s.ca.lits(c)
-	s.watches[ls[0].Not()] = append(s.watches[ls[0].Not()], watcher{c, ls[1]})
-	s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{c, ls[0]})
+	ref := c
+	if len(ls) == 2 {
+		ref |= binFlag
+	}
+	s.watches[ls[0].Not()] = append(s.watches[ls[0].Not()], watcher{ref, ls[1]})
+	s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{ref, ls[0]})
 }
 
 func (s *Solver) detachClause(c ClauseRef) {
@@ -224,7 +240,7 @@ func (s *Solver) detachClause(c ClauseRef) {
 	for _, wl := range [2]Lit{ls[0].Not(), ls[1].Not()} {
 		ws := s.watches[wl]
 		for i, w := range ws {
-			if w.ref == c {
+			if w.ref&^binFlag == c {
 				ws[i] = ws[len(ws)-1]
 				s.watches[wl] = ws[:len(ws)-1]
 				break
@@ -236,7 +252,8 @@ func (s *Solver) detachClause(c ClauseRef) {
 // enqueue assigns literal l (making it true) with the given reason clause.
 func (s *Solver) enqueue(l Lit, from ClauseRef) {
 	v := l.Var()
-	s.assigns[v] = boolToLbool(l.IsPos())
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.polarity[v] = l.IsPos()
 	s.reason[v] = from
 	s.level[v] = int32(s.decisionLevel())
@@ -245,7 +262,11 @@ func (s *Solver) enqueue(l Lit, from ClauseRef) {
 
 // propagate performs unit propagation over the two-watched-literal scheme.
 // It returns a conflicting clause ref, or NilRef if no conflict occurred.
+//
+// Each watch list is compacted in place: i reads, j writes back the
+// watchers that stay. Binary watchers are settled from the watcher alone.
 func (s *Solver) propagate() ClauseRef {
+	vals, data := s.vals, s.ca.data
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p became true; the literal ¬p is now false
 		s.qhead++
@@ -254,29 +275,50 @@ func (s *Solver) propagate() ClauseRef {
 		// Clauses watching a literal w live in watches[w.Not()], so the
 		// clauses watching ¬p are found under watches[p].
 		ws := s.watches[p]
-		kept := ws[:0]
+		i, j := 0, 0
 		confl := NilRef
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
-			if s.value(w.blocker) == lTrue {
-				kept = append(kept, w)
+		for i < len(ws) {
+			w := ws[i]
+			i++
+			if vals[w.blocker] == lTrue {
+				ws[j] = w
+				j++
+				continue
+			}
+			if w.ref&binFlag != 0 {
+				// The blocker is the clause's other literal: unit or
+				// conflicting, and the watcher stays either way.
+				ws[j] = w
+				j++
+				c := w.ref &^ binFlag
+				if vals[w.blocker] == lFalse {
+					// Conflict analysis walks the clause in arena order:
+					// store it as [other, ¬p], with the falsified watch
+					// second like every long conflicting clause.
+					data[c+headerWords], data[c+headerWords+1] = w.blocker, falseLit
+					confl = c
+					break
+				}
+				s.enqueue(w.blocker, c)
 				continue
 			}
 			c := w.ref
-			ls := s.ca.lits(c)
+			lo := int(c) + headerWords
+			ls := data[lo : lo+int(data[c])>>flagBits]
 			// Ensure the falsified literal is at position 1.
 			if ls[0] == falseLit {
 				ls[0], ls[1] = ls[1], ls[0]
 			}
 			first := ls[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				kept = append(kept, watcher{c, first})
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watcher{c, first}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
 			for k := 2; k < len(ls); k++ {
-				if s.value(ls[k]) != lFalse {
+				if vals[ls[k]] != lFalse {
 					ls[1], ls[k] = ls[k], ls[1]
 					s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{c, first})
 					found = true
@@ -287,22 +329,22 @@ func (s *Solver) propagate() ClauseRef {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first})
-			if s.value(first) == lFalse {
+			ws[j] = watcher{c, first}
+			j++
+			if vals[first] == lFalse {
 				confl = c
-				// Copy remaining watchers and stop propagating.
-				for wi++; wi < len(ws); wi++ {
-					kept = append(kept, ws[wi])
-				}
-				s.qhead = len(s.trail)
 				break
 			}
 			s.enqueue(first, c)
 		}
-		s.watches[p] = kept
 		if confl != NilRef {
+			// Keep the unvisited watchers and stop propagating.
+			j += copy(ws[j:], ws[i:])
+			s.watches[p] = ws[:j]
+			s.qhead = len(s.trail)
 			return confl
 		}
+		s.watches[p] = ws[:j]
 	}
 	return NilRef
 }
@@ -315,8 +357,9 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	limit := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= limit; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l], s.vals[l.Not()] = lUndef, lUndef
 		s.reason[v] = NilRef
 		s.order.push(v)
 	}
@@ -381,9 +424,10 @@ func (s *Solver) clauseLBD(lits []Lit) int {
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
 // (asserting literal first), the backtrack level, and the clause's LBD
-// (computed here, while every literal is still assigned).
+// (computed here, while every literal is still assigned). The learnt slice
+// is solver-owned scratch, valid until the next call.
 func (s *Solver) analyze(confl ClauseRef) ([]Lit, int, int) {
-	learnt := []Lit{LitUndef} // slot 0 for the asserting literal
+	learnt := append(s.learntBuf[:0], LitUndef) // slot 0 for the asserting literal
 	pathC := 0
 	p := LitUndef
 	index := len(s.trail) - 1
@@ -400,11 +444,12 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int, int) {
 				}
 			}
 		}
-		start := 0
-		if p != LitUndef {
-			start = 1 // skip the asserting literal of the reason clause
-		}
-		for _, q := range ls[start:] {
+		for _, q := range ls {
+			if q == p {
+				// The literal this reason implied; a binary reason may hold
+				// it at either position. p is LitUndef on the conflict.
+				continue
+			}
 			v := q.Var()
 			if s.seen[v] == 0 && s.level[v] > 0 {
 				s.bumpVar(v)
@@ -430,11 +475,13 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int, int) {
 		}
 	}
 	learnt[0] = p.Not()
+	s.learntBuf = learnt
 
 	// Clause minimization: drop literals whose reason is subsumed by the
 	// remaining learnt clause (simple non-recursive check). Keep the full
 	// pre-minimization list so every seen flag is cleared afterwards.
-	toClear := append([]Lit(nil), learnt...)
+	toClear := append(s.toClear[:0], learnt...)
+	s.toClear = toClear
 	minimized := learnt[:1]
 	for _, q := range learnt[1:] {
 		if !s.litRedundant(q) {
@@ -554,6 +601,9 @@ func (s *Solver) recordLearnt(learnt []Lit, lbd int) {
 const coreLBD = 3
 
 // locked reports whether c is the reason of its first literal's assignment.
+// Only valid for clauses of three or more literals: propagation leaves a
+// binary clause's literals where they are, so its implied literal may sit
+// at either position.
 func (s *Solver) locked(c ClauseRef) bool {
 	l0 := s.ca.lits(c)[0]
 	return s.value(l0) == lTrue && s.reason[l0.Var()] == c
@@ -600,10 +650,12 @@ func (s *Solver) reduceDB() {
 // fresh slab in clause-list order, reason slots are remapped through the
 // forwarding map, and watcher lists are rebuilt from the relocated watch
 // pairs (positions 0 and 1 are preserved by relocation, so the two-watched
-// invariant carries over even mid-search).
+// invariant carries over even mid-search). The fresh slab keeps the old
+// one's capacity: learning refills it, and a slab sized to the survivors
+// would be regrown, and copied whole, by the next few learnt clauses.
 func (s *Solver) garbageCollect() {
 	var dst arena
-	dst.data = make([]Lit, 0, len(s.ca.data)-s.ca.wasted)
+	dst.data = make([]Lit, 0, cap(s.ca.data))
 	forward := s.ca.gcInto(&dst, &s.clauses, &s.learnts)
 	for v := range s.reason {
 		if r := s.reason[v]; r != NilRef {
@@ -629,15 +681,15 @@ func (s *Solver) garbageCollect() {
 func (s *Solver) pickBranchVar() Var {
 	if s.opts.RandomVarFreq > 0 && s.rng.chance(s.opts.RandomVarFreq) {
 		for t := 0; t < 8; t++ {
-			v := Var(s.rng.intn(len(s.assigns)))
-			if s.assigns[v] == lUndef {
+			v := Var(s.rng.intn(s.NumVars()))
+			if s.vals[v.Pos()] == lUndef {
 				return v
 			}
 		}
 	}
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == lUndef {
+		if s.vals[v.Pos()] == lUndef {
 			return v
 		}
 	}
@@ -802,11 +854,14 @@ func (s *Solver) addImported(lits []Lit) bool {
 // if the result was Sat.
 func (s *Solver) cancelUntilRoot(st Status) {
 	if st == Sat {
-		if cap(s.model) < len(s.assigns) {
-			s.model = make([]lbool, len(s.assigns))
+		n := s.NumVars()
+		if cap(s.model) < n {
+			s.model = make([]lbool, n)
 		}
-		s.model = s.model[:len(s.assigns)]
-		copy(s.model, s.assigns)
+		s.model = s.model[:n]
+		for v := range s.model {
+			s.model[v] = s.vals[Var(v).Pos()]
+		}
 	}
 	s.cancelUntil(0)
 }
