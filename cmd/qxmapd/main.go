@@ -68,6 +68,10 @@
 // serving. Degraded mappings are counted per rung in
 // qxmapd_degraded_total{mode=...}.
 //
+// -pprof <addr> serves the net/http/pprof profiling endpoints
+// (/debug/pprof/...) on a separate listener, off by default; the API
+// listener never serves them.
+//
 // Example:
 //
 //	qxmapd -addr :8080 &
@@ -83,7 +87,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -111,6 +117,7 @@ func main() {
 	tenantBurst := flag.Int("tenant-burst", 10, "token-bucket burst per tenant (with -tenant-rps)")
 	tenantQuota := flag.Int("tenant-quota", 0, "jobs per tenant per quota window (0 = unlimited); a batch costs one per job")
 	tenantWindow := flag.Duration("tenant-quota-window", time.Minute, "fixed window for -tenant-quota")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate listen address (empty = off)")
 	flag.Parse()
 
 	noLowerBound := false
@@ -165,6 +172,24 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
+	var pprofSrv *http.Server
+	pprofDone := make(chan struct{})
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "qxmapd: -pprof:", err)
+			os.Exit(1)
+		}
+		pprofSrv = &http.Server{Handler: pprofHandler(), ReadHeaderTimeout: 10 * time.Second}
+		go func() {
+			defer close(pprofDone)
+			log.Printf("qxmapd: pprof listening on %s", ln.Addr())
+			if err := pprofSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("qxmapd: pprof: %v", err)
+			}
+		}()
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -190,7 +215,28 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("qxmapd: serve: %v", err)
 	}
+	if pprofSrv != nil {
+		// Profiles in flight are cut off: they are diagnostics, not work.
+		if err := pprofSrv.Close(); err != nil {
+			log.Printf("qxmapd: pprof close: %v", err)
+		}
+		<-pprofDone
+	}
 	if err := s.close(); err != nil {
 		log.Printf("qxmapd: close: %v", err)
 	}
+}
+
+// pprofHandler serves the net/http/pprof endpoints under /debug/pprof/. It
+// has its own mux, so the profiling endpoints never reach the API listener
+// (the package's init registers them only on http.DefaultServeMux, which
+// qxmapd does not serve).
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

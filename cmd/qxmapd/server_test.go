@@ -387,6 +387,25 @@ func TestJobsUnknownID(t *testing.T) {
 
 // TestListingsAndHealth: the discovery endpoints mirror the registries and
 // healthz reports ok.
+// TestPprofOnlyOnItsListener: the profiling endpoints are served by the
+// separate -pprof handler and never by the API handler, even though
+// importing net/http/pprof registers them on http.DefaultServeMux.
+func TestPprofOnlyOnItsListener(t *testing.T) {
+	s := newTestServer(t, serverConfig{})
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		if w.Code != http.StatusNotFound {
+			t.Errorf("API handler GET %s = %d, want 404", path, w.Code)
+		}
+		w = httptest.NewRecorder()
+		pprofHandler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		if w.Code != http.StatusOK {
+			t.Errorf("pprof handler GET %s = %d, want 200", path, w.Code)
+		}
+	}
+}
+
 func TestListingsAndHealth(t *testing.T) {
 	s := newTestServer(t, serverConfig{})
 

@@ -63,13 +63,10 @@ type Encoding struct {
 	B *cnf.Builder
 
 	prob   Problem
-	cm     *arch.CostModel         // cost model (nil = paper 7/4)
-	space  *perm.Space             // full permutation space (n = m) for swaps(π)
-	swaps  *perm.SwapTable         // swap-distance table (uniform swap weights)
-	wswaps *perm.WeightedSwapTable // weighted table (non-uniform swap weights)
-	perms  []perm.Perm             // Π, indexed as in Y
-	permSw []int                   // SWAP count of the chosen realization of π
-	permW  []int                   // weighted cost of π (SwapCost·permSw when uniform)
+	cm     *arch.CostModel // cost model (nil = paper 7/4)
+	perms  []perm.Perm     // Π, indexed as in Y
+	permSw []int           // SWAP count of the chosen realization of π
+	permW  []int           // weighted cost of π (SwapCost·permSw when uniform)
 	// gateRev[k][p] is the "gate k sits reversed on coupling pair p" literal
 	// (aligned with Arch.Pairs()), kept for per-pair H-weight cost terms.
 	gateRev [][]sat.Lit
@@ -127,27 +124,8 @@ func Encode(ctx context.Context, p Problem, b *cnf.Builder) (*Encoding, error) {
 	}
 
 	e := &Encoding{B: b, prob: p, cm: p.Arch.Cost()}
-	e.space = perm.NewSpace(m, m)
-	if e.cm.UniformSwap() {
-		e.swaps = perm.NewSwapTable(e.space, p.Arch.UndirectedEdges())
-		for _, pp := range perm.All(m) {
-			sw := e.swaps.PermSwaps(pp)
-			e.perms = append(e.perms, pp)
-			e.permSw = append(e.permSw, sw)
-			if sw > 0 {
-				e.permW = append(e.permW, e.cm.SwapUnit()*sw)
-			} else {
-				e.permW = append(e.permW, sw)
-			}
-		}
-	} else {
-		e.wswaps = perm.NewWeightedSwapTable(e.space, p.Arch.UndirectedEdges(), e.cm.EdgeSwapWeight)
-		for _, pp := range perm.All(m) {
-			e.perms = append(e.perms, pp)
-			e.permSw = append(e.permSw, e.wswaps.PermSwapsAlong(pp))
-			e.permW = append(e.permW, e.wswaps.PermWeight(pp))
-		}
-	}
+	e.perms = perm.All(m)
+	e.permSw, e.permW = permCosts(p.Arch, e.perms)
 
 	e.buildFrames()
 	e.buildMappingVars()
@@ -161,6 +139,30 @@ func Encode(ctx context.Context, p Problem, b *cnf.Builder) (*Encoding, error) {
 	}
 	e.buildCost()
 	return e, nil
+}
+
+// permCosts returns, for each permutation π of a's physical qubits, the
+// SWAP count of its cheapest realization on a's coupling graph and its
+// cost under a's cost model: swaps(π) times the SWAP unit when the model's
+// SWAP weights are uniform, the weighted distance swaps_w(π) otherwise
+// (−1 for both when π is unrealizable). All of them come from one swap
+// search started at the identity.
+func permCosts(a *arch.Arch, perms []perm.Perm) (sw, w []int) {
+	m := a.NumQubits()
+	cm := a.Cost()
+	var weight func(perm.Edge) int
+	if !cm.UniformSwap() {
+		weight = cm.EdgeSwapWeight
+	}
+	id := perm.NewSwapGraph(perm.NewSpace(m, m), a.UndirectedEdges(), weight).Search(perm.IdentityMapping(m))
+	sw, w = make([]int, len(perms)), make([]int, len(perms))
+	for i, pp := range perms {
+		sw[i], w[i] = id.Swaps(perm.Mapping(pp)), id.Weight(perm.Mapping(pp))
+		if weight == nil && w[i] > 0 {
+			w[i] *= cm.SwapUnit()
+		}
+	}
+	return sw, w
 }
 
 // PermAllowed reports whether a permutation may occur before gate k.

@@ -121,7 +121,6 @@ func EncodeSubsets(ctx context.Context, p SubsetProblem, b *cnf.Builder) (*Multi
 	}
 
 	e := &MultiEncoding{B: b, prob: p}
-	space := perm.NewSpace(n, n)
 	e.perms = perm.All(n)
 	e.permSw = make([][]int, len(p.Archs))
 	e.permW = make([][]int, len(p.Archs))
@@ -134,27 +133,7 @@ func EncodeSubsets(ctx context.Context, p SubsetProblem, b *cnf.Builder) (*Multi
 		if !cm.UniformH() || cm.HUnit() != e.hUnit {
 			e.uniformH = false
 		}
-		sw := make([]int, len(e.perms))
-		w := make([]int, len(e.perms))
-		if cm.UniformSwap() {
-			table := perm.NewSwapTable(space, a.UndirectedEdges())
-			for pi, pp := range e.perms {
-				sw[pi] = table.PermSwaps(pp)
-				if sw[pi] > 0 {
-					w[pi] = cm.SwapUnit() * sw[pi]
-				} else {
-					w[pi] = sw[pi]
-				}
-			}
-		} else {
-			table := perm.NewWeightedSwapTable(space, a.UndirectedEdges(), cm.EdgeSwapWeight)
-			for pi, pp := range e.perms {
-				sw[pi] = table.PermSwapsAlong(pp)
-				w[pi] = table.PermWeight(pp)
-			}
-		}
-		e.permSw[i] = sw
-		e.permW[i] = w
+		e.permSw[i], e.permW[i] = permCosts(a, e.perms)
 	}
 
 	e.buildFrames()

@@ -3,8 +3,8 @@ package exact
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -82,8 +82,30 @@ func TestAnytimeBudgetBracketsOptimum(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Skip("no budget truncated the descent after a first model on this corpus")
+		t.Fatal("no budget truncated the descent after a first model on this corpus")
 	}
+}
+
+// pollDeadlineCtx is a context whose deadline passes on a poll count
+// instead of a clock: Err returns context.DeadlineExceeded from poll
+// number expireAt on (1-based; 0 never expires) and nil before, and it
+// counts its polls. The single-thread §3 solve path only polls Err, never
+// Done, so a run under it is deterministic.
+type pollDeadlineCtx struct {
+	context.Context
+	expireAt int64
+	polls    atomic.Int64
+}
+
+func newPollDeadline(expireAt int64) *pollDeadlineCtx {
+	return &pollDeadlineCtx{Context: context.Background(), expireAt: expireAt}
+}
+
+func (c *pollDeadlineCtx) Err() error {
+	if n := c.polls.Add(1); c.expireAt > 0 && n >= c.expireAt {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // TestAnytimeDeadlineIncumbent is the anytime acceptance check on a real
@@ -91,10 +113,11 @@ func TestAnytimeBudgetBracketsOptimum(t *testing.T) {
 // enough for the full proof" (the known minimal cost) there is a window
 // where the deadline fires mid-descent and the engine must hand back its
 // incumbent — Degraded, non-minimal, bracket containing the optimum —
-// instead of erroring. The window's location is machine-dependent, so the
-// test binary-searches the deadline and verifies every run it makes
-// against the trichotomy; it only skips if the window is unobservably
-// narrow on this machine.
+// instead of erroring. The deadline is a poll count (pollDeadlineCtx), so
+// the bisection below lands on the same run on every machine; it verifies
+// every run it makes against the trichotomy. Outcomes run error → degraded
+// → minimal as the deadline grows, so a bisection that keeps an erroring
+// lower end and a completing upper end must hit a non-empty window.
 func TestAnytimeDeadlineIncumbent(t *testing.T) {
 	bm, err := revlib.SuiteByName("3_17_13")
 	if err != nil {
@@ -106,57 +129,53 @@ func TestAnytimeDeadlineIncumbent(t *testing.T) {
 	}
 	a := arch.QX4()
 
-	start := time.Now()
-	ref, err := Solve(bg, sk, a, Options{Engine: EngineSAT})
+	counter := newPollDeadline(0)
+	ref, err := Solve(counter, sk, a, Options{Engine: EngineSAT, SAT: SATOptions{Anytime: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := time.Since(start)
 	if !ref.Minimal {
 		t.Fatalf("unbounded reference run not minimal (cost %d)", ref.Cost)
 	}
 
-	lo, hi := time.Duration(0), full // invariant: lo errors, hi completes
-	for i := 0; i < 14; i++ {
+	// Invariant: a deadline at poll lo errors (the first poll leaves no
+	// time for a model), one at poll hi completes.
+	lo, hi := int64(1), counter.polls.Load()+1
+	for hi-lo > 1 {
 		d := (lo + hi) / 2
-		if d <= 0 {
-			break
-		}
-		ctx, cancel := context.WithTimeout(bg, d)
-		r, err := Solve(ctx, sk, a, Options{Engine: EngineSAT, SAT: SATOptions{Anytime: true}})
-		cancel()
+		r, err := Solve(newPollDeadline(d), sk, a, Options{Engine: EngineSAT, SAT: SATOptions{Anytime: true}})
 		switch {
 		case err != nil:
 			// Too short for even one model: exactly the historical failure
 			// mode, still correct when there is nothing to salvage.
 			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("deadline %v: err = %v, want context.DeadlineExceeded", d, err)
+				t.Fatalf("deadline at poll %d: err = %v, want context.DeadlineExceeded", d, err)
 			}
 			lo = d
 		case r.Minimal:
 			if r.Cost != ref.Cost {
-				t.Fatalf("deadline %v: minimal cost %d != reference %d", d, r.Cost, ref.Cost)
+				t.Fatalf("deadline at poll %d: minimal cost %d != reference %d", d, r.Cost, ref.Cost)
 			}
 			hi = d
 		default:
 			// The anytime window: a valid incumbent under a blown deadline.
 			if !r.Degraded {
-				t.Errorf("deadline %v: non-minimal deadline result not marked Degraded", d)
+				t.Errorf("deadline at poll %d: non-minimal deadline result not marked Degraded", d)
 			}
 			if r.Cost < ref.Cost {
-				t.Errorf("deadline %v: incumbent cost %d undercuts the optimum %d", d, r.Cost, ref.Cost)
+				t.Errorf("deadline at poll %d: incumbent cost %d undercuts the optimum %d", d, r.Cost, ref.Cost)
 			}
 			if r.Cost-r.BoundGap > ref.Cost {
-				t.Errorf("deadline %v: bracket [%d, %d] excludes the optimum %d",
+				t.Errorf("deadline at poll %d: bracket [%d, %d] excludes the optimum %d",
 					d, r.Cost-r.BoundGap, r.Cost, ref.Cost)
 			}
 			if _, err := r.Ops(sk); err != nil {
-				t.Errorf("deadline %v: degraded result does not materialize: %v", d, err)
+				t.Errorf("deadline at poll %d: degraded result does not materialize: %v", d, err)
 			}
 			return
 		}
 	}
-	t.Skip("anytime window between first model and full proof too narrow to hit on this machine")
+	t.Fatalf("no deadline between poll %d (errors) and poll %d (completes) left an incumbent", lo, hi)
 }
 
 // TestSubsetFanoutExhaustionKeepsIncumbent is the §4.1 best-effort

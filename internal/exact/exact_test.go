@@ -11,6 +11,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/encoder"
+	"repro/internal/perm"
 )
 
 var bg = context.Background()
@@ -315,6 +316,27 @@ func TestOpsRealizeSolutionSAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyOps(t, sk, a, r)
+}
+
+// TestOpsRejectsMappingOutsideSpace: a result whose frame mapping is not a
+// placement on its working architecture (a corrupted record) fails to
+// materialize with an error instead of panicking.
+func TestOpsRejectsMappingOutsideSpace(t *testing.T) {
+	sk := circuit.Figure1b()
+	r, err := Solve(bg, sk, arch.QX4(), Options{Engine: EngineDP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []perm.Mapping{{7, 7, 7, 7}, {0, 0, 1, 2}, {0, 1}} {
+		sol := *r.Solution
+		sol.FrameMappings = append([]perm.Mapping(nil), r.Solution.FrameMappings...)
+		sol.FrameMappings[0] = bad
+		c := *r
+		c.Solution = &sol
+		if _, err := c.Ops(sk); err == nil {
+			t.Errorf("frame %v: Ops succeeded", bad)
+		}
+	}
 }
 
 func TestBinaryDescentMatchesLinear(t *testing.T) {

@@ -148,23 +148,35 @@ func (r *Result) FinalMapping() perm.Mapping {
 
 // Ops materializes the mapped skeleton as a stream of SWAP and CNOT
 // operations on the original architecture's physical qubits. The SWAP
-// sequences realizing each inter-frame permutation are recovered from the
-// swap-distance table of the working architecture — the weighted table
-// when its cost model is non-uniform, so the rebuilt paths follow the
-// same cheapest edges the solver charged for — and their count equals the
-// solution's SwapCount (preserving the optimal cost).
+// sequence realizing each inter-frame permutation is walked from a swap
+// search started at the frame's target mapping on the working
+// architecture — weighted when its cost model is non-uniform, so the
+// rebuilt paths follow the same cheapest edges the solver charged for —
+// and its length equals the solution's SwapCount (preserving the optimal
+// cost). A frame mapping outside the working architecture's mapping space
+// is an error.
 func (r *Result) Ops(sk *circuit.Skeleton) ([]circuit.MappedOp, error) {
 	sol := r.Solution
 	n := sk.NumQubits
 	space := perm.NewSpace(r.WorkArch.NumQubits(), n)
-	cm := r.WorkArch.Cost()
-	var swapPath func(from, to perm.Mapping) ([]perm.Edge, bool)
-	if cm.UniformSwap() {
-		table := perm.NewSwapTable(space, r.WorkArch.UndirectedEdges())
-		swapPath = table.SwapPath
-	} else {
-		table := perm.NewWeightedSwapTable(space, r.WorkArch.UndirectedEdges(), cm.EdgeSwapWeight)
-		swapPath = table.SwapPath
+	for f, mp := range sol.FrameMappings {
+		if space.Index(mp) < 0 {
+			return nil, fmt.Errorf("exact: frame %d mapping %v is not a placement of %d qubits on %s", f, mp, n, r.WorkArch.Name())
+		}
+	}
+	var graph *perm.SwapGraph // built on the first transition that moves a qubit
+	swapPath := func(from, to perm.Mapping) ([]perm.Edge, bool) {
+		if from.Equal(to) {
+			return nil, true
+		}
+		if graph == nil {
+			var weight func(perm.Edge) int
+			if cm := r.WorkArch.Cost(); !cm.UniformSwap() {
+				weight = cm.EdgeSwapWeight
+			}
+			graph = perm.NewSwapGraph(space, r.WorkArch.UndirectedEdges(), weight)
+		}
+		return graph.Search(to).PathFrom(from)
 	}
 
 	var ops []circuit.MappedOp

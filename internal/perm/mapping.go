@@ -171,5 +171,32 @@ func (s *Space) Index(mp Mapping) int {
 	return idx
 }
 
+// mustIndex is Index for mappings a caller has already validated; a
+// mapping outside the space is a bug and panics.
+func (s *Space) mustIndex(mp Mapping) int {
+	idx := s.Index(mp)
+	if idx < 0 {
+		panic("perm: mapping not in space")
+	}
+	return idx
+}
+
+// swapIndex returns the index of the mapping obtained from mapping idx by
+// exchanging the states of physical qubits a and b (ApplySwap without the
+// allocation).
+func (s *Space) swapIndex(idx, a, b int) int {
+	var k uint64
+	for j, i := range s.Mappings[idx] {
+		switch i {
+		case a:
+			i = b
+		case b:
+			i = a
+		}
+		k |= uint64(i) << (4 * uint(j))
+	}
+	return s.index[k]
+}
+
 // Mapping returns the mapping with dense index idx.
 func (s *Space) Mapping(idx int) Mapping { return s.Mappings[idx] }

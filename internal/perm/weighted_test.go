@@ -1,6 +1,9 @@
 package perm
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // pathEdges of a 4-vertex path graph 0–1–2–3.
 var pathEdges = []Edge{{0, 1}, {1, 2}, {2, 3}}
@@ -27,8 +30,22 @@ func TestWeightedTableUniformMatchesBFS(t *testing.T) {
 			}
 		}
 	}
-	if got, want := wt.MaxWeight(), w*bfs.MaxDistance(); got != want {
-		t.Errorf("MaxWeight = %d, want %d", got, want)
+	// The single-source searches agree: weights scale, paths coincide.
+	plain := NewSwapGraph(space, pathEdges, nil)
+	weighted := NewSwapGraph(space, pathEdges, func(Edge) int { return w })
+	for _, src := range space.Mappings {
+		ps, ws := plain.Search(src), weighted.Search(src)
+		for _, mp := range space.Mappings {
+			if ps.Weight(mp) != ps.Swaps(mp) || ws.Swaps(mp) != ps.Swaps(mp) ||
+				(ps.Swaps(mp) >= 0 && ws.Weight(mp) != w*ps.Swaps(mp)) {
+				t.Fatalf("%v→%v: plain %d/%d, weighted %d/%d", src, mp, ps.Weight(mp), ps.Swaps(mp), ws.Weight(mp), ws.Swaps(mp))
+			}
+			pp, _ := ps.PathFrom(mp)
+			wp, _ := ws.PathFrom(mp)
+			if !reflect.DeepEqual(pp, wp) {
+				t.Fatalf("%v→%v: plain path %v, weighted %v", mp, src, pp, wp)
+			}
+		}
 	}
 }
 
@@ -44,26 +61,32 @@ func TestWeightedTableDetour(t *testing.T) {
 		return 7
 	}
 	space := NewSpace(3, 3)
-	wt := NewWeightedSwapTable(space, tri, weightOf)
+	g := NewSwapGraph(space, tri, weightOf)
+	id := g.Search(IdentityMapping(3))
 
 	// π swapping logical 0 and 1 directly costs 25 on edge {0,1}; the
 	// detour swap(0,2), swap(1,2), swap(0,2) costs 21. Weighted distance
 	// picks the detour, swaps-along reports its length 3.
 	p := Perm{1, 0, 2}
-	if got := wt.PermWeight(p); got != 21 {
-		t.Errorf("PermWeight = %d, want 21 (detour)", got)
+	if got := id.Weight(Mapping(p)); got != 21 {
+		t.Errorf("Weight = %d, want 21 (detour)", got)
 	}
-	if got := wt.PermSwapsAlong(p); got != 3 {
-		t.Errorf("PermSwapsAlong = %d, want 3", got)
+	if got := id.Swaps(Mapping(p)); got != 3 {
+		t.Errorf("Swaps = %d, want 3", got)
+	}
+	wt := NewWeightedSwapTable(space, tri, weightOf)
+	a, b := space.Index(IdentityMapping(3)), space.Index(Mapping(p))
+	if wt.MinWeightIdx(a, b) != 21 || wt.SwapsAlongIdx(a, b) != 3 {
+		t.Errorf("table: weight %d, swaps %d; want 21, 3", wt.MinWeightIdx(a, b), wt.SwapsAlongIdx(a, b))
 	}
 
-	// SwapPath materializes exactly that path: length matches
-	// SwapsAlongIdx, applying it lands on the target, never touching the
-	// expensive edge, and total weight equals MinWeight.
+	// PathFrom materializes exactly that path: length matches Swaps,
+	// applying it lands on the target, never touching the expensive edge,
+	// and total weight equals Weight.
 	from, to := IdentityMapping(3), Mapping(p)
-	path, ok := wt.SwapPath(from, to)
+	path, ok := g.Search(to).PathFrom(from)
 	if !ok {
-		t.Fatal("SwapPath failed on a connected space")
+		t.Fatal("PathFrom failed on a connected space")
 	}
 	if len(path) != 3 {
 		t.Fatalf("path length %d, want 3", len(path))
@@ -79,24 +102,29 @@ func TestWeightedTableDetour(t *testing.T) {
 	if !cur.Equal(to) {
 		t.Fatalf("path %v ends at %v, want %v", path, cur, to)
 	}
-	if total != wt.MinWeight(from, to) {
-		t.Errorf("path weight %d != MinWeight %d", total, wt.MinWeight(from, to))
+	if total != id.Weight(to) {
+		t.Errorf("path weight %d != Weight %d", total, id.Weight(to))
 	}
 }
 
 // TestWeightedTablePartialSpaceUnreachable: in a partial mapping space on a
 // disconnected graph, mappings across components are unreachable (−1), and
-// SwapPath reports false.
+// PathFrom reports false.
 func TestWeightedTableUnreachable(t *testing.T) {
 	space := NewSpace(4, 1) // one logical qubit on 4 physical
-	wt := NewWeightedSwapTable(space, []Edge{{0, 1}, {2, 3}}, func(Edge) int { return 7 })
+	weight := func(Edge) int { return 7 }
+	g := NewSwapGraph(space, []Edge{{0, 1}, {2, 3}}, weight)
 	from := Mapping{0} // logical 0 on physical 0
 	to := Mapping{2}   // ... on physical 2, in the other component
-	if got := wt.MinWeight(from, to); got != -1 {
-		t.Errorf("MinWeight across components = %d, want -1", got)
+	if got := g.Search(from).Weight(to); got != -1 {
+		t.Errorf("Weight across components = %d, want -1", got)
 	}
-	if _, ok := wt.SwapPath(from, to); ok {
-		t.Error("SwapPath across components succeeded")
+	if _, ok := g.Search(to).PathFrom(from); ok {
+		t.Error("PathFrom across components succeeded")
+	}
+	wt := NewWeightedSwapTable(space, []Edge{{0, 1}, {2, 3}}, weight)
+	if got := wt.MinWeightIdx(space.Index(from), space.Index(to)); got != -1 {
+		t.Errorf("table weight across components = %d, want -1", got)
 	}
 }
 

@@ -110,8 +110,9 @@ func EncodeResult(r *exact.Result) ([]byte, error) {
 // exact.Result, rebuilding the working architecture from its stored
 // coupling pairs. The decoded result carries zero work counters: no
 // solving happened in this process. Any structural violation — a decode
-// error, an invalid architecture, mismatched slice lengths — returns an
-// error; callers treat it as a cache miss, never as an answer.
+// error, an invalid architecture, mismatched slice lengths, a frame
+// mapping that is not an injective placement on the architecture —
+// returns an error; callers treat it as a cache miss, never as an answer.
 func DecodeResult(data []byte) (*exact.Result, error) {
 	var p persistedResult
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
@@ -173,7 +174,12 @@ func DecodeResult(data []byte) (*exact.Result, error) {
 		if len(m) == 0 {
 			return nil, fmt.Errorf("portfolio: decoded result frame %d is empty", i)
 		}
-		sol.FrameMappings[i] = perm.Mapping(m)
+		mp := perm.Mapping(m)
+		if len(mp) != len(p.FrameMappings[0]) || !mp.Valid(p.ArchQubits) {
+			return nil, fmt.Errorf("portfolio: decoded result frame %d mapping %v is not a placement of %d qubits on %d",
+				i, m, len(p.FrameMappings[0]), p.ArchQubits)
+		}
+		sol.FrameMappings[i] = mp
 	}
 	for i, pm := range p.Perms {
 		sol.Perms[i] = perm.Perm(pm)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/exact"
+	"repro/internal/perm"
 )
 
 // mapStore is an in-memory ResultStore double. failGets/failPuts make
@@ -103,6 +104,40 @@ func TestDecodeResultRejectsGarbage(t *testing.T) {
 	for _, data := range [][]byte{nil, {0x01}, []byte("not a gob stream at all")} {
 		if _, err := DecodeResult(data); err == nil {
 			t.Fatalf("DecodeResult(%q) succeeded", data)
+		}
+	}
+}
+
+// TestDecodeResultRejectsInvalidFrames: a record whose frame mappings are
+// not injective placements on its architecture decodes as an error, so
+// the disk tier reports a miss instead of handing Result.Ops a mapping
+// outside its space.
+func TestDecodeResultRejectsInvalidFrames(t *testing.T) {
+	r, a := solveOnce(t)
+	sk := mkSkeleton(4, [2]int{0, 1}, [2]int{2, 3}, [2]int{0, 2}, [2]int{1, 3}, [2]int{0, 3}, [2]int{1, 2})
+	fp := Fingerprint(sk, a, exact.Options{})
+	for name, bad := range map[string][]int{
+		"out of range": {7, 7, 7, 7},
+		"repeated":     {0, 0, 1, 2},
+		"negative":     {-1, 0, 1, 2},
+		"short":        {0, 1, 2},
+	} {
+		c := *r
+		sol := *r.Solution
+		sol.FrameMappings = append([]perm.Mapping(nil), r.Solution.FrameMappings...)
+		sol.FrameMappings[len(sol.FrameMappings)-1] = bad
+		c.Solution = &sol
+		data, err := EncodeResult(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeResult(data); err == nil {
+			t.Errorf("%s frame %v: DecodeResult succeeded", name, bad)
+		}
+		disk := newMapStore()
+		disk.m[string(StoreKey(fp))] = data
+		if _, _, ok := (Tiered{Mem: NewCache(0), Disk: disk}).Lookup(fp); ok {
+			t.Errorf("%s frame %v: corrupted record served as a hit", name, bad)
 		}
 	}
 }

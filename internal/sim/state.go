@@ -71,69 +71,97 @@ func uMatrix(theta, phi, lambda float64) [2][2]complex128 {
 	}
 }
 
+// gateOp is a gate validated against a qubit count and prepared for
+// application to amplitude vectors: a single-qubit gate carries its 2×2
+// U matrix, computed once.
+type gateOp struct {
+	kind   circuit.Kind
+	qubits []int
+	u      [2][2]complex128
+}
+
+// prepare validates g for an n-qubit register and prepares it.
+func prepare(g circuit.Gate, n int) (gateOp, error) {
+	if err := g.Validate(n); err != nil {
+		return gateOp{}, err
+	}
+	switch g.Kind {
+	case circuit.KindCNOT, circuit.KindSWAP, circuit.KindMCT:
+		return gateOp{kind: g.Kind, qubits: g.Qubits}, nil
+	}
+	u, ok := g.AsU()
+	if !ok {
+		return gateOp{}, fmt.Errorf("sim: unsupported gate %s", g)
+	}
+	return gateOp{kind: circuit.KindU, qubits: u.Qubits, u: uMatrix(u.Theta, u.Phi, u.Lambda)}, nil
+}
+
+// apply applies the prepared gate to one amplitude vector.
+func (op *gateOp) apply(amps []complex128) {
+	q := op.qubits
+	switch op.kind {
+	case circuit.KindCNOT:
+		applyCNOT(amps, q[0], q[1])
+	case circuit.KindSWAP:
+		applySWAP(amps, q[0], q[1])
+	case circuit.KindMCT:
+		applyMCT(amps, q[:len(q)-1], q[len(q)-1])
+	default:
+		applySingle(amps, q[0], op.u)
+	}
+}
+
 // applySingle applies a 2×2 matrix to qubit q.
-func (s *State) applySingle(q int, m [2][2]complex128) {
+func applySingle(amps []complex128, q int, m [2][2]complex128) {
 	bit := 1 << uint(q)
-	for i := range s.amps {
+	for i := range amps {
 		if i&bit != 0 {
 			continue
 		}
-		a0, a1 := s.amps[i], s.amps[i|bit]
-		s.amps[i] = m[0][0]*a0 + m[0][1]*a1
-		s.amps[i|bit] = m[1][0]*a0 + m[1][1]*a1
+		a0, a1 := amps[i], amps[i|bit]
+		amps[i] = m[0][0]*a0 + m[0][1]*a1
+		amps[i|bit] = m[1][0]*a0 + m[1][1]*a1
 	}
 }
 
 // Apply applies one gate to the state.
 func (s *State) Apply(g circuit.Gate) error {
-	if err := g.Validate(s.n); err != nil {
+	op, err := prepare(g, s.n)
+	if err != nil {
 		return err
 	}
-	switch g.Kind {
-	case circuit.KindCNOT:
-		s.applyCNOT(g.Qubits[0], g.Qubits[1])
-	case circuit.KindSWAP:
-		s.applySWAP(g.Qubits[0], g.Qubits[1])
-	case circuit.KindMCT:
-		s.applyMCT(g.Qubits[:len(g.Qubits)-1], g.Qubits[len(g.Qubits)-1])
-	default:
-		u, ok := g.AsU()
-		if !ok {
-			return fmt.Errorf("sim: unsupported gate %s", g)
-		}
-		s.applySingle(u.Qubits[0], uMatrix(u.Theta, u.Phi, u.Lambda))
-	}
+	op.apply(s.amps)
 	return nil
 }
 
-func (s *State) applyCNOT(control, target int) {
+func applyCNOT(amps []complex128, control, target int) {
 	cb, tb := 1<<uint(control), 1<<uint(target)
-	for i := range s.amps {
+	for i := range amps {
 		if i&cb != 0 && i&tb == 0 {
-			s.amps[i], s.amps[i|tb] = s.amps[i|tb], s.amps[i]
+			amps[i], amps[i|tb] = amps[i|tb], amps[i]
 		}
 	}
 }
 
-func (s *State) applySWAP(a, b int) {
+func applySWAP(amps []complex128, a, b int) {
 	ab, bb := 1<<uint(a), 1<<uint(b)
-	for i := range s.amps {
+	for i := range amps {
 		if i&ab != 0 && i&bb == 0 {
 			j := i&^ab | bb
-			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
+			amps[i], amps[j] = amps[j], amps[i]
 		}
 	}
 }
 
-func (s *State) applyMCT(controls []int, target int) {
+func applyMCT(amps []complex128, controls []int, target int) {
 	var cmask int
 	for _, c := range controls {
 		cmask |= 1 << uint(c)
 	}
 	tb := 1 << uint(target)
-	for i := range s.amps {
+	for i := range amps {
 		if i&cmask == cmask && i&tb == 0 {
-			s.amps[i], s.amps[i|tb] = s.amps[i|tb], s.amps[i]
+			amps[i], amps[i|tb] = amps[i|tb], amps[i]
 		}
 	}
 }
@@ -146,6 +174,54 @@ func (s *State) Run(c *circuit.Circuit) error {
 	for _, g := range c.Gates() {
 		if err := s.Apply(g); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// Batch is a set of states over the same n qubits evolved together, such
+// as the columns of a circuit's unitary. Run validates and prepares each
+// gate once for the whole batch, then applies it to every state with the
+// arithmetic State.Apply performs on one, so each state ends bit for bit
+// where State.Run would take it.
+type Batch struct {
+	n    int
+	dim  int          // 2^n amplitudes per state
+	amps []complex128 // state c occupies amps[c·dim : (c+1)·dim]
+}
+
+// NewBasisBatch returns one state per index, state c being the
+// computational basis state |indices[c]⟩ of n qubits.
+func NewBasisBatch(n int, indices []int) *Batch {
+	if n < 1 || n > MaxQubits {
+		panic(fmt.Sprintf("sim: %d qubits outside [1,%d]", n, MaxQubits))
+	}
+	b := &Batch{n: n, dim: 1 << uint(n)}
+	b.amps = make([]complex128, len(indices)*b.dim)
+	for c, idx := range indices {
+		if idx < 0 || idx >= b.dim {
+			panic("sim: basis index out of range")
+		}
+		b.amps[c*b.dim+idx] = 1
+	}
+	return b
+}
+
+// Amplitude returns the amplitude of basis state |index⟩ in state c.
+func (b *Batch) Amplitude(c, index int) complex128 { return b.amps[c*b.dim+index] }
+
+// Run applies every gate of the circuit, in order, to every state.
+func (b *Batch) Run(c *circuit.Circuit) error {
+	if c.NumQubits() > b.n {
+		return fmt.Errorf("sim: circuit needs %d qubits, state has %d", c.NumQubits(), b.n)
+	}
+	for _, g := range c.Gates() {
+		op, err := prepare(g, b.n)
+		if err != nil {
+			return err
+		}
+		for lo := 0; lo < len(b.amps); lo += b.dim {
+			op.apply(b.amps[lo : lo+b.dim])
 		}
 	}
 	return nil

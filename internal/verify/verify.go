@@ -166,12 +166,22 @@ func SkeletonOps(sk *circuit.Skeleton, m int, ops []circuit.MappedOp, initial, f
 	return nil
 }
 
+// maxBatchAmps caps the amplitudes Equivalent simulates at once: the
+// basis states of the logical qubits are evolved together in batches of
+// up to maxBatchAmps / 2^m, so the ≤ 5-qubit devices of the paper's
+// evaluation check every basis state in one pass while a 12-qubit check
+// holds at most 1 MiB of mapped amplitudes.
+const maxBatchAmps = 1 << 16
+
 // Equivalent performs full unitary equivalence checking by basis-state
 // simulation: for every computational basis state of the logical qubits,
 // the mapped circuit (over the architecture's physical qubits, starting
 // from the layout-translated basis state) must produce the same state as
 // the original, relocated by the final layout, up to one uniform global
-// phase. Unused physical qubits must start and end in |0⟩.
+// phase. Unused physical qubits must start and end in |0⟩. The basis
+// states are simulated as one batch (sim.Batch), so each gate is validated
+// and prepared once per circuit rather than once per basis state; the
+// first failing basis state, in index order, is reported.
 //
 // Cost is O(2^n · 2^m) amplitudes; intended for the ≤ 5-qubit circuits and
 // devices of the paper's evaluation (hard limit sim.MaxQubits).
@@ -185,45 +195,56 @@ func Equivalent(original, mapped *circuit.Circuit, m int, initial, final perm.Ma
 	}
 	const eps = 1e-9
 	var phase complex128
-	for b := 0; b < 1<<uint(n); b++ {
-		orig := sim.NewBasisState(n, b)
+	batch := max(1, maxBatchAmps>>uint(m))
+	exp := make([]complex128, 1<<uint(m))
+	for lo := 0; lo < 1<<uint(n); lo += batch {
+		hi := min(lo+batch, 1<<uint(n))
+		basis, placed := make([]int, 0, hi-lo), make([]int, 0, hi-lo)
+		for b := lo; b < hi; b++ {
+			basis = append(basis, b)
+			placed = append(placed, relocate(b, initial))
+		}
+		orig := sim.NewBasisBatch(n, basis)
 		if err := orig.Run(original); err != nil {
 			return fmt.Errorf("verify: simulating original: %w", err)
 		}
-		idx := 0
-		for j := 0; j < n; j++ {
-			if b>>uint(j)&1 == 1 {
-				idx |= 1 << uint(initial[j])
-			}
-		}
-		mapState := sim.NewBasisState(m, idx)
-		if err := mapState.Run(mapped); err != nil {
+		mapStates := sim.NewBasisBatch(m, placed)
+		if err := mapStates.Run(mapped); err != nil {
 			return fmt.Errorf("verify: simulating mapped: %w", err)
 		}
-		// Build the expected state: original amplitudes relocated through
-		// the final layout, unused qubits |0⟩.
-		exp := make([]complex128, 1<<uint(m))
-		for x := 0; x < 1<<uint(n); x++ {
-			y := 0
-			for j := 0; j < n; j++ {
-				if x>>uint(j)&1 == 1 {
-					y |= 1 << uint(final[j])
-				}
+		for b := lo; b < hi; b++ {
+			c := b - lo
+			// The expected state: original amplitudes relocated through
+			// the final layout, unused qubits |0⟩.
+			clear(exp)
+			for x := 0; x < 1<<uint(n); x++ {
+				exp[relocate(x, final)] = orig.Amplitude(c, x)
 			}
-			exp[y] = orig.Amplitude(x)
-		}
-		var ip complex128
-		for y, want := range exp {
-			ip += cmplx.Conj(want) * mapState.Amplitude(y)
-		}
-		if d := cmplx.Abs(ip); d < 1-eps {
-			return fmt.Errorf("verify: basis %d: fidelity %.12f < 1", b, d)
-		}
-		if b == 0 {
-			phase = ip
-		} else if cmplx.Abs(ip-phase) > 1e-6 {
-			return fmt.Errorf("verify: basis %d: phase %.6f differs from %.6f (not a uniform global phase)", b, ip, phase)
+			var ip complex128
+			for y, want := range exp {
+				ip += cmplx.Conj(want) * mapStates.Amplitude(c, y)
+			}
+			if d := cmplx.Abs(ip); d < 1-eps {
+				return fmt.Errorf("verify: basis %d: fidelity %.12f < 1", b, d)
+			}
+			if b == 0 {
+				phase = ip
+			} else if cmplx.Abs(ip-phase) > 1e-6 {
+				return fmt.Errorf("verify: basis %d: phase %.6f differs from %.6f (not a uniform global phase)", b, ip, phase)
+			}
 		}
 	}
 	return nil
+}
+
+// relocate maps a basis index over the logical qubits to the physical
+// basis index under layout: bit j moves to bit layout[j].
+func relocate(x int, layout perm.Mapping) int {
+	y := 0
+	for j, p := range layout {
+		if x>>uint(j)&1 == 1 {
+			y |= 1 << uint(p)
+		}
+	}
+	return y
 }

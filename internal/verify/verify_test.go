@@ -2,6 +2,9 @@ package verify
 
 import (
 	"context"
+	"fmt"
+	"math/cmplx"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/heuristic"
 	"repro/internal/perm"
+	"repro/internal/sim"
 )
 
 func TestCouplingCompliant(t *testing.T) {
@@ -261,4 +265,204 @@ func TestSkeletonOpsRejectsHuge(t *testing.T) {
 	if err := SkeletonOps(sk, 65, nil, perm.Mapping{0, 1}, perm.Mapping{0, 1}); err == nil {
 		t.Error("m > 64 should be rejected")
 	}
+}
+
+// equivalentPerBasis is the reference for Equivalent: the original check,
+// which simulates each basis state on its own (validating and preparing
+// every gate once per basis state) and stops at the first failing one.
+func equivalentPerBasis(original, mapped *circuit.Circuit, m int, initial, final perm.Mapping) error {
+	n := original.NumQubits()
+	if m > sim.MaxQubits {
+		return fmt.Errorf("verify: %d physical qubits exceed simulator limit %d", m, sim.MaxQubits)
+	}
+	if len(initial) != n || len(final) != n {
+		return fmt.Errorf("verify: layout sizes %d/%d for %d qubits", len(initial), len(final), n)
+	}
+	const eps = 1e-9
+	var phase complex128
+	for b := 0; b < 1<<uint(n); b++ {
+		orig := sim.NewBasisState(n, b)
+		if err := orig.Run(original); err != nil {
+			return fmt.Errorf("verify: simulating original: %w", err)
+		}
+		idx := 0
+		for j := 0; j < n; j++ {
+			if b>>uint(j)&1 == 1 {
+				idx |= 1 << uint(initial[j])
+			}
+		}
+		mapState := sim.NewBasisState(m, idx)
+		if err := mapState.Run(mapped); err != nil {
+			return fmt.Errorf("verify: simulating mapped: %w", err)
+		}
+		exp := make([]complex128, 1<<uint(m))
+		for x := 0; x < 1<<uint(n); x++ {
+			y := 0
+			for j := 0; j < n; j++ {
+				if x>>uint(j)&1 == 1 {
+					y |= 1 << uint(final[j])
+				}
+			}
+			exp[y] = orig.Amplitude(x)
+		}
+		var ip complex128
+		for y, want := range exp {
+			ip += cmplx.Conj(want) * mapState.Amplitude(y)
+		}
+		if d := cmplx.Abs(ip); d < 1-eps {
+			return fmt.Errorf("verify: basis %d: fidelity %.12f < 1", b, d)
+		}
+		if b == 0 {
+			phase = ip
+		} else if cmplx.Abs(ip-phase) > 1e-6 {
+			return fmt.Errorf("verify: basis %d: phase %.6f differs from %.6f (not a uniform global phase)", b, ip, phase)
+		}
+	}
+	return nil
+}
+
+// randomCircuit returns an elementary n-qubit circuit: an H on qubit 0
+// and a CNOT, then gates random single-qubit gates and CNOTs.
+func randomCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
+	c := circuit.New(n).AddH(0).AddCNOT(0, 1)
+	for i := 0; i < gates; i++ {
+		q := rng.Intn(n)
+		switch rng.Intn(7) {
+		case 0:
+			c.AddH(q)
+		case 1:
+			c.AddT(q)
+		case 2:
+			c.AddS(q)
+		case 3:
+			c.AddX(q)
+		case 4:
+			c.AddU(q, rng.Float64()*3, rng.Float64()*3, rng.Float64()*3)
+		default:
+			t := (q + 1 + rng.Intn(n-1)) % n
+			c.AddCNOT(q, t)
+		}
+	}
+	return c
+}
+
+// mapCircuit maps c onto QX4 with the DP engine and realizes the op
+// stream as a circuit: SWAP gates for the inserted swaps, H-conjugated
+// CNOTs for switched ones, and c's single-qubit gates on the physical
+// qubit holding their logical qubit at that point.
+func mapCircuit(t testing.TB, c *circuit.Circuit) (mapped *circuit.Circuit, initial, final perm.Mapping) {
+	t.Helper()
+	sk, err := circuit.ExtractSkeleton(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := exact.Solve(context.Background(), sk, arch.QX4(), exact.Options{Engine: exact.EngineDP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := r.Ops(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped = circuit.New(5)
+	mp := r.InitialMapping()
+	gates := c.Gates()
+	next := 0
+	emitSingles := func() {
+		for ; next < len(gates) && gates[next].Kind != circuit.KindCNOT; next++ {
+			g := gates[next]
+			g.Qubits = []int{mp[g.Qubits[0]]}
+			mapped.MustAppend(g)
+		}
+	}
+	for _, op := range ops {
+		if op.Swap {
+			mapped.AddSWAP(op.A, op.B)
+			mp = mp.ApplySwap(op.A, op.B)
+			continue
+		}
+		emitSingles()
+		next++ // the CNOT op realizes
+		if op.Switched {
+			mapped.AddH(op.Control).AddH(op.Target).AddCNOT(op.Control, op.Target).AddH(op.Control).AddH(op.Target)
+		} else {
+			mapped.AddCNOT(op.Control, op.Target)
+		}
+	}
+	emitSingles()
+	return mapped, r.InitialMapping(), r.FinalMapping()
+}
+
+// TestEquivalentMatchesPerBasisReference: the one-pass check and the
+// per-basis reference accept and reject the same circuits with the same
+// error, naming the same basis index — on correctly mapped random
+// circuits, on corruptions of them (a dropped H, a swapped final layout, a
+// Z on one qubit, whose phase differs between basis states), and on
+// unrelated random pairs.
+func TestEquivalentMatchesPerBasisReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(what string, orig, mapped *circuit.Circuit, m int, initial, final perm.Mapping, wantOK bool) {
+		t.Helper()
+		got, want := Equivalent(orig, mapped, m, initial, final), equivalentPerBasis(orig, mapped, m, initial, final)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: one-pass %v, per-basis %v", what, got, want)
+		}
+		if (got == nil) != wantOK {
+			t.Fatalf("%s: verdict %v, want accepted=%v", what, got, wantOK)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		n := 2 + i%3
+		orig := randomCircuit(rng, n, 4+rng.Intn(12))
+		mapped, initial, final := mapCircuit(t, orig)
+		check(fmt.Sprintf("case %d mapped", i), orig, mapped, 5, initial, final, true)
+
+		dropped := circuit.New(5)
+		droppedOne := false
+		for _, g := range mapped.Gates() {
+			if g.Kind == circuit.KindH && !droppedOne {
+				droppedOne = true
+				continue
+			}
+			dropped.MustAppend(g)
+		}
+		check(fmt.Sprintf("case %d dropped H", i), orig, dropped, 5, initial, final, false)
+
+		swapped := final.Copy()
+		swapped[0], swapped[1] = swapped[1], swapped[0]
+		check(fmt.Sprintf("case %d swapped final layout", i), orig, mapped, 5, initial, swapped, false)
+
+		phased := mapped.Copy().MustAppend(circuit.Z(final[rng.Intn(n)]))
+		check(fmt.Sprintf("case %d extra Z", i), orig, phased, 5, initial, final, false)
+
+		other := randomCircuit(rng, n, 8)
+		check(fmt.Sprintf("case %d unrelated", i), orig, other, n, perm.IdentityMapping(n), perm.IdentityMapping(n), false)
+	}
+	// A 12-qubit register splits the 32 basis states of a 5-qubit circuit
+	// into batches of 16. Logical qubit 4 is idle, so a Z on its physical
+	// qubit flips the phase of exactly the basis states from 16 on: the
+	// first failure is the first state of the second batch.
+	five := circuit.New(5).AddCNOT(0, 1).AddCNOT(2, 3)
+	layout := perm.Mapping{11, 3, 7, 0, 5}
+	wide := circuit.New(12).AddCNOT(11, 3).AddCNOT(7, 0)
+	check("12-qubit register", five, wide, 12, layout, layout, true)
+	err := Equivalent(five, wide.Copy().MustAppend(circuit.Z(5)), 12, layout, layout)
+	if err == nil || !strings.Contains(err.Error(), "basis 16:") {
+		t.Fatalf("Z on an idle qubit across batches: %v, want a phase error at basis 16", err)
+	}
+	check("12-qubit register, extra Z", five, wide.Copy().MustAppend(circuit.Z(5)), 12, layout, layout, false)
+	// Against the identity, a controlled-Z over all five qubits flips the
+	// phase of the last basis state alone, so a check that stops short of
+	// it accepts.
+	last := circuit.New(12).AddH(5).AddMCT([]int{11, 3, 7, 0}, 5).AddH(5)
+	err = Equivalent(circuit.New(5), last, 12, layout, layout)
+	if err == nil || !strings.Contains(err.Error(), "basis 31:") {
+		t.Fatalf("phase on the last basis state: %v, want a phase error at basis 31", err)
+	}
+	check("12-qubit register, phase on the last state", circuit.New(5), last, 12, layout, layout, false)
+
+	// Simulation errors surface identically, before any basis state is
+	// compared: a mapped circuit wider than the register.
+	check("mapped too wide", circuit.New(2).AddCNOT(0, 1), circuit.New(5).AddCNOT(4, 3), 3,
+		perm.Mapping{0, 1}, perm.Mapping{0, 1}, false)
 }
