@@ -46,7 +46,7 @@ func BenchmarkMiller11SAT(b *testing.B) {
 		b.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := minimizeBinary(bg, solver, enc, &Result{}, opts, admissibleLowerBound(p)); err != nil {
+	if _, _, err := descend(bg, solver, single{enc}, &Result{}, opts, opts.lowerBound(p)-1); err != nil {
 		b.Fatal(err)
 	}
 	search := time.Since(start)

@@ -3,11 +3,7 @@ package exact
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -15,8 +11,6 @@ import (
 	"repro/internal/perm"
 	"repro/internal/revlib"
 )
-
-var updateOpsGolden = flag.Bool("update", false, "rewrite testdata/ops.golden")
 
 // TestOpsGolden pins the materialized SWAP paths byte for byte: the op
 // streams Result.Ops rebuilds for the five BENCH rows on QX4 (DP and SAT),
@@ -63,33 +57,7 @@ func TestOpsGolden(t *testing.T) {
 		fmt.Fprintf(&out, "paths %s %x\n", sp.name, swapPathDigest(sp.a, sp.n))
 	}
 
-	path := filepath.Join("testdata", "ops.golden")
-	if *updateOpsGolden {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		gotLines, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-		for i := range gotLines {
-			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
-				t.Fatalf("ops golden differs at line %d:\n got: %s\nwant: %s", i+1, gotLines[i], lineOr(wantLines, i))
-			}
-		}
-		t.Fatalf("ops golden differs: got %d lines, want %d", len(gotLines), len(wantLines))
-	}
-}
-
-func lineOr(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<missing>"
+	checkGolden(t, "ops.golden", out.Bytes())
 }
 
 // writeOpsLine solves sk on a with the engine and writes one golden line:

@@ -31,20 +31,18 @@ type Result struct {
 	Engine string
 	// Solves counts reasoning-engine invocations (SAT engine only).
 	Solves int
-	// Encodes counts encoder.Encode calls behind this result (SAT engine
-	// only; 0 for the DP engine). The incremental descent encodes exactly
-	// once per SolveSAT call, so a plain run reports 1 and a §4.1 subset
-	// run reports one per attempted subset instance — except subsets whose
-	// admissible lower bound already exceeded the shared incumbent's strict
-	// bound, which are refuted without encoding at all.
+	// Encodes counts instance encodes behind this result (SAT engine only;
+	// 0 for the DP engine). The incremental descent encodes exactly once,
+	// so a plain run reports 1 and so does a §4.1 subset run, whose
+	// subsets all share one instance.
 	Encodes int
 	// Conflicts counts CDCL conflicts across all solver invocations of the
 	// run (SAT engine only; 0 for the DP engine).
 	Conflicts int64
 	// BoundProbes counts solver invocations that probed a cost bound via
 	// guard assumptions — the descent steps proper, excluding unbounded
-	// initial solves (SAT engine only). A §4.1 run aggregates the probes of
-	// every attempted subset.
+	// initial solves (SAT engine only). A §4.1 run counts the family probes
+	// on its one shared instance.
 	BoundProbes int
 	// BoundJumps counts UNSAT probes where core analysis paid off: the
 	// minimized assumption core refuted a looser bound than the tightest
@@ -56,18 +54,18 @@ type Result struct {
 	SATThreads int
 	// SharedClauses counts learnt clauses imported across portfolio workers
 	// during the run (sat.Stats.SharedImports aggregated over all workers;
-	// 0 when SATThreads ≤ 1). A §4.1 run sums every subset's imports.
+	// 0 when SATThreads ≤ 1).
 	SharedClauses int64
 	// LowerBound is the admissible lower bound on F that seeded the
 	// descent (0 when disabled or trivial; SAT engine only). For a §4.1
 	// run it is the bound the shared descent's floor was seeded from —
-	// the minimum over the attempted subsets' own bounds.
+	// the minimum over the orbit representatives' own bounds.
 	LowerBound int
 	// SubsetsPruned counts §4.1 subsets retired without any solver probe of
 	// their own: their admissible lower bound showed they could not beat
-	// the incumbent (or an externally asserted strict bound), so they were
-	// dropped from the shared instance's pending family. 0 outside the
-	// subset fan-out.
+	// the incumbent, so the shared SAT instance dropped them from its
+	// pending family (the DP fan-out skips the remaining representatives
+	// once a zero-cost incumbent exists). 0 outside the subset fan-out.
 	SubsetsPruned int
 	// CoreFamilyRefutations counts UNSAT probes on the shared §4.1
 	// instance whose assumption core refuted the whole pending subset

@@ -21,16 +21,9 @@ type SATOptions struct {
 	// because the descent reaches it anyway. The bound is applied as a
 	// guard assumption, never as permanent clauses, so a StartBound below
 	// the true optimum of the (possibly strategy-restricted) instance is
-	// safe by default: the engine detects the failed assumption, relaxes
-	// the bound in place on the same solver, and continues — no caller-side
-	// re-encode is needed (the old "retry unbounded" dance).
+	// safe: the engine detects the failed assumption, drops the bound and
+	// continues on the same solver without a re-encode.
 	StartBound int
-	// StrictBound changes the StartBound failure mode: a bound-induced
-	// UNSAT is reported as ErrUnsatisfiable instead of being relaxed. The
-	// §4.1 fan-out sets it to prune subset instances that cannot beat the
-	// shared incumbent cost — for pruning, "no mapping under the bound"
-	// IS the answer.
-	StrictBound bool
 	// BinaryDescent switches the minimization loop from linear descent
 	// (assume F ≤ cost−1 after each model) to binary search on the bound.
 	// Both modes run on one solver and one encoding, probing bounds via
@@ -129,13 +122,41 @@ type satProber interface {
 	Snapshot() sat.Stats
 }
 
-// boundGuards is the cost-guard surface the descent helpers need; both the
-// single-architecture *encoder.Encoding and the shared §4.1
-// *encoder.MultiEncoding provide it, so bound probing and core-to-bound
-// translation are written once.
-type boundGuards interface {
+// family is what the bound descent minimizes over: one or more instances
+// ("members") encoded into one solver and sharing its cost-bound guards.
+// The shared §4.1 instance is a family of subsets; a plain instance is a
+// family of one.
+type family interface {
+	// CostAtMostLit and GuardBound mint and read back the cost-bound
+	// guards every member shares.
 	CostAtMostLit(bound int) sat.Lit
 	GuardBound(g sat.Lit) (int, bool)
+	// pending counts the members still able to host a mapping of cost
+	// ≤ bound.
+	pending(bound int) int
+	// guard returns the assumption that confines a model to the members
+	// pending at bound; ok is false when no such assumption is needed.
+	guard(bound int) (g sat.Lit, ok bool)
+	// decode reads the current model's solution and the index of the
+	// member hosting it.
+	decode() (*encoder.Solution, int, error)
+	// retire drops every member whose admissible lower bound shows it
+	// cannot beat an incumbent of the given cost, returning how many it
+	// dropped.
+	retire(cost int) int
+}
+
+// single is a plain encoding as a family of one: no guard, one member that
+// is never retired (its admissible lower bound seeds the descent's floor).
+type single struct{ *encoder.Encoding }
+
+func (single) pending(int) int           { return 1 }
+func (single) guard(int) (sat.Lit, bool) { return 0, false }
+func (single) retire(int) int            { return 0 }
+
+func (s single) decode() (*encoder.Solution, int, error) {
+	sol, err := s.Decode()
+	return sol, 0, err
 }
 
 // SolveSAT finds the minimal-cost mapping for the problem using the paper's
@@ -173,43 +194,11 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		}
 	}()
 	start := time.Now()
-	lb := opts.LowerBound
-	if lb <= 0 {
-		lb = 0
-		if !opts.NoLowerBound {
-			lb = admissibleLowerBound(p)
-		}
-	}
-	if opts.StrictBound && opts.StartBound > 0 && lb > opts.StartBound {
-		// The admissible lower bound already exceeds the strict cap: no
-		// mapping under the bound exists, no encode or probe needed. The
-		// §4.1 fan-out hits this when a subset's geometry cannot beat the
-		// shared incumbent.
-		res := &Result{WorkArch: p.Arch, Engine: EngineSAT.String(), LowerBound: lb, Minimal: true}
-		return res, fmt.Errorf("exact: %w (admissible lower bound %d exceeds the strict bound %d)",
-			ErrUnsatisfiable, lb, opts.StartBound)
-	}
-
+	lb := opts.lowerBound(p)
 	solver := sat.New(sat.Options{MaxConflicts: opts.MaxConflicts})
-	b := cnf.NewBuilder(solver)
-	enc, err := encoder.Encode(ctx, p, b)
+	enc, err := encoder.Encode(ctx, p, cnf.NewBuilder(solver))
 	if err != nil {
 		return nil, err
-	}
-	// Portfolio workers are CPU-bound; spawning more than the runtime can
-	// schedule in parallel is pure overhead (every worker burns cycles the
-	// winner needs), so the width is clamped into the shared ThreadBudget:
-	// the caller's concurrent lanes × this portfolio's width stays within
-	// GOMAXPROCS. Result.SATThreads reports the effective width.
-	budget := opts.Budget
-	budget.Threads = opts.Threads
-	threads := budget.Clamp().Threads
-	var prober satProber = solver
-	if threads > 1 {
-		// The pool clones the fully built encoding lazily at the first
-		// probe and installs the winning worker's model/core back into the
-		// master, so enc.Decode and the guard bookkeeping stay untouched.
-		prober = sat.NewPool(solver, threads)
 	}
 	res = &Result{
 		WorkArch:   p.Arch,
@@ -217,29 +206,14 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		Engine:     EngineSAT.String(),
 		Encodes:    1,
 		LowerBound: lb,
-		SATThreads: threads,
 	}
-
-	var best *encoder.Solution
-	if opts.BinaryDescent {
-		best, err = minimizeBinary(ctx, prober, enc, res, opts, lb)
-	} else {
-		best, err = minimizeLinear(ctx, prober, enc, res, opts, lb)
-	}
-	snap := prober.Snapshot()
-	res.Conflicts = snap.Conflicts
-	res.SharedClauses = snap.SharedImports
+	best, _, err := runDescent(ctx, solver, single{enc}, res, opts, opts.Threads, lb-1)
 	// Failures past this point still return the Result so callers can
-	// aggregate the run's counters (the §4.1 fan-out charges refuted and
-	// truncated subsets to its totals); only a nil error carries a
-	// Solution.
+	// aggregate the run's counters; only a nil error carries a Solution.
 	if err != nil {
 		return res, err
 	}
 	if best == nil {
-		if opts.StrictBound && opts.StartBound > 0 {
-			return res, fmt.Errorf("exact: %w (no mapping with cost ≤ %d)", ErrUnsatisfiable, opts.StartBound)
-		}
 		return res, fmt.Errorf("exact: %w (unsatisfiable instance)", ErrUnsatisfiable)
 	}
 	res.Solution = best
@@ -248,22 +222,137 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 	return res, nil
 }
 
-// startAssumptions returns the initial bound assumption derived from
-// SATOptions.StartBound (nil when disabled).
-func startAssumptions(enc boundGuards, opts SATOptions) []sat.Lit {
-	if opts.StartBound <= 0 {
-		return nil
+// lowerBound returns the admissible lower bound on F that seeds the descent
+// on p: the caller's LowerBound when positive, otherwise the coupling-graph
+// distance bound unless NoLowerBound switches it off (0).
+func (opts SATOptions) lowerBound(p encoder.Problem) int {
+	switch {
+	case opts.LowerBound > 0:
+		return opts.LowerBound
+	case opts.NoLowerBound:
+		return 0
 	}
-	return []sat.Lit{enc.CostAtMostLit(opts.StartBound)}
+	return admissibleLowerBound(p)
 }
 
-// relaxable reports whether an Unsat under the current assumptions may be
-// relaxed: no model has been found yet, the only active bound is the
-// caller's unproven StartBound (not a descent-derived one), relaxation is
-// permitted, and the solver blames the assumption rather than the clause
-// set.
-func relaxable(solver satProber, opts SATOptions, assumed, haveModel bool) bool {
-	return assumed && !haveModel && !opts.StrictBound && solver.UnsatFromAssumptions()
+// runDescent runs the bound descent on fam, encoded into solver, as a
+// clause-sharing portfolio of the requested width clamped into the
+// ThreadBudget (an oversubscribed portfolio only steals cycles from its own
+// winner; the caller's lanes × this width stays within GOMAXPROCS). It
+// records the effective width and the solver's conflict and clause-import
+// counters in res, also when the descent fails.
+func runDescent(ctx context.Context, solver *sat.Solver, fam family, res *Result, opts SATOptions, threads, lo int) (*encoder.Solution, int, error) {
+	budget := opts.Budget
+	budget.Threads = threads
+	res.SATThreads = budget.Clamp().Threads
+	var prober satProber = solver
+	if res.SATThreads > 1 {
+		// The pool clones the fully built encoding lazily at the first
+		// probe and installs the winning worker's model/core back into the
+		// master, so decoding and the guard bookkeeping stay untouched.
+		prober = sat.NewPool(solver, res.SATThreads)
+	}
+	best, idx, err := descend(ctx, prober, fam, res, opts, lo)
+	snap := prober.Snapshot()
+	res.Conflicts = snap.Conflicts
+	res.SharedClauses = snap.SharedImports
+	return best, idx, err
+}
+
+// descend is the bound descent of paper §3.3, run over a family of members
+// on one solver. lo is the largest bound known refuted before any probe
+// (the admissible lower bound minus one). Each probe assumes the family
+// guard of the members still able to reach the target bound, then the
+// primary bound guard, then the optimistic ones below it. A model becomes
+// the incumbent, retires the members it outclasses, and sets the next
+// target: C−1 for linear descent, the midpoint between lo and C for binary
+// descent (SATOptions.BinaryDescent). An UNSAT probe raises lo to the
+// loosest bound in the solver's minimized assumption core. A target no
+// pending member can reach is refuted by the admissible bounds alone, so lo
+// advances without a probe. The incumbent is proven minimal once C−1 ≤ lo.
+//
+// It returns the incumbent and its member index, nil with Result.Minimal
+// set when no member admits any mapping, or an error. A run cut off by its
+// conflict budget or (in anytime mode) its deadline returns the incumbent
+// marked Degraded; without an incumbent it errors.
+func descend(ctx context.Context, prober satProber, fam family, res *Result, opts SATOptions, lo int) (*encoder.Solution, int, error) {
+	var best *encoder.Solution
+	bestIdx := -1
+	target := math.MaxInt // no model yet: any cost will do
+	members := fam.pending(target)
+	var bounds []sat.Lit
+	if opts.StartBound > 0 {
+		bounds = []sat.Lit{fam.CostAtMostLit(opts.StartBound)}
+	}
+	for {
+		assume := bounds
+		if g, ok := fam.guard(target); ok {
+			assume = append([]sat.Lit{g}, bounds...)
+		}
+		res.Solves++
+		if len(bounds) > 0 {
+			res.BoundProbes++
+		}
+		switch prober.SolveContext(ctx, assume...) {
+		case sat.Unknown:
+			if err := ctx.Err(); err != nil && !anytimeReturn(opts, best != nil, err) {
+				return nil, -1, fmt.Errorf("exact: solve canceled: %w", err)
+			}
+			if best == nil {
+				return nil, -1, ErrBudgetExhausted
+			}
+			res.markAnytime(best.Cost, lo)
+			return best, bestIdx, nil // truncated: best-effort incumbent, proof unfinished
+		case sat.Unsat:
+			if best == nil && len(bounds) > 0 && prober.UnsatFromAssumptions() {
+				// Only the caller's unproven StartBound is assumed and it
+				// undercut the optimum: drop it and continue on the same
+				// instance, keeping everything learnt while refuting it.
+				bounds = nil
+				continue
+			}
+			if best == nil {
+				res.Minimal = true // no member admits any mapping
+				return nil, -1, nil
+			}
+			if members > 1 {
+				// One conflict analysis refuted the bound for every
+				// pending member at once.
+				res.CoreFamilyRefutations++
+			}
+			refuted, jumped := coreRefutedBound(prober, fam, assume)
+			if jumped {
+				res.BoundJumps++
+			}
+			if refuted > lo {
+				lo = refuted
+			}
+		case sat.Sat:
+			sol, idx, err := fam.decode()
+			if err != nil {
+				return nil, -1, err
+			}
+			best, bestIdx = sol, idx
+			res.SubsetsPruned += fam.retire(sol.Cost)
+		}
+		for {
+			if best.Cost-1 <= lo {
+				// The incumbent meets the refuted floor (by UNSAT probes or
+				// the admissible lower bound): minimal.
+				res.Minimal = true
+				return best, bestIdx, nil
+			}
+			target = best.Cost - 1
+			if opts.BinaryDescent {
+				target = lo + (best.Cost-lo)/2
+			}
+			if members = fam.pending(target); members > 0 {
+				break
+			}
+			lo = target
+		}
+		bounds = probeAssumptions(fam, target, lo, opts)
+	}
 }
 
 // anytimeReturn reports whether a descent cut off by its context should hand
@@ -280,15 +369,15 @@ func anytimeReturn(opts SATOptions, haveModel bool, ctxErr error) bool {
 // down towards lo. The order matters: the solver's core minimization tries
 // to remove later assumptions first, so listing loose→tight steers the
 // minimized core towards the loosest refutable bound — the biggest jump.
-func probeAssumptions(enc boundGuards, bound, lo int, opts SATOptions) []sat.Lit {
-	assume := []sat.Lit{enc.CostAtMostLit(bound)}
+func probeAssumptions(fam family, bound, lo int, opts SATOptions) []sat.Lit {
+	assume := []sat.Lit{fam.CostAtMostLit(bound)}
 	if opts.NoCoreJumps {
 		return assume
 	}
 	if b1 := lo + (bound-lo)/2; b1 > lo && b1 < bound {
-		assume = append(assume, enc.CostAtMostLit(b1))
+		assume = append(assume, fam.CostAtMostLit(b1))
 		if b2 := lo + (b1-lo)/2; b2 > lo && b2 < b1 {
-			assume = append(assume, enc.CostAtMostLit(b2))
+			assume = append(assume, fam.CostAtMostLit(b2))
 		}
 	}
 	return assume
@@ -301,16 +390,16 @@ func probeAssumptions(enc boundGuards, bound, lo int, opts SATOptions) []sat.Lit
 // call. It returns the refuted bound and whether core analysis improved on
 // the trivial reading of the probe (the tightest assumed bound) — a
 // core-guided jump.
-func coreRefutedBound(solver satProber, enc boundGuards, assumed []sat.Lit) (int, bool) {
+func coreRefutedBound(solver satProber, fam family, assumed []sat.Lit) (int, bool) {
 	minAssumed := math.MaxInt
 	for _, g := range assumed {
-		if b, ok := enc.GuardBound(g); ok && b < minAssumed {
+		if b, ok := fam.GuardBound(g); ok && b < minAssumed {
 			minAssumed = b
 		}
 	}
 	refuted := math.MaxInt
 	for _, g := range solver.UnsatCore() {
-		if b, ok := enc.GuardBound(g); ok && b < refuted {
+		if b, ok := fam.GuardBound(g); ok && b < refuted {
 			refuted = b
 		}
 	}
@@ -318,148 +407,4 @@ func coreRefutedBound(solver satProber, enc boundGuards, assumed []sat.Lit) (int
 		refuted = minAssumed // defensive: no guard survived into the core
 	}
 	return refuted, minAssumed != math.MaxInt && refuted > minAssumed
-}
-
-// minimizeLinear performs linear bound descent on one solver instance: each
-// satisfying model's cost C is followed by a probe under the guard
-// assumption F ≤ C−1 (plus optimistic bounds below it) until UNSAT proves
-// minimality of the last model, the model cost reaches the admissible lower
-// bound, or the refuted floor `lo` climbs to meet C−1.
-func minimizeLinear(ctx context.Context, solver satProber, enc *encoder.Encoding, res *Result, opts SATOptions, lb int) (*encoder.Solution, error) {
-	var best *encoder.Solution
-	lo := lb - 1 // largest bound known unsatisfiable (admissibility of lb)
-	assume := startAssumptions(enc, opts)
-	for {
-		res.Solves++
-		if len(assume) > 0 {
-			res.BoundProbes++
-		}
-		status := solver.SolveContext(ctx, assume...)
-		switch status {
-		case sat.Unknown:
-			if err := ctx.Err(); err != nil {
-				if !anytimeReturn(opts, best != nil, err) {
-					return nil, fmt.Errorf("exact: solve canceled: %w", err)
-				}
-				res.markAnytime(best.Cost, lo)
-				return best, nil // deadline hit with an incumbent: anytime return
-			}
-			if best == nil {
-				return nil, ErrBudgetExhausted
-			}
-			res.markAnytime(best.Cost, lo)
-			return best, nil // budget exhausted: best-effort, proof truncated
-		case sat.Unsat:
-			if relaxable(solver, opts, len(assume) > 0, best != nil) {
-				// The caller's StartBound undercut the true optimum; drop
-				// the assumption and continue on the same instance, keeping
-				// everything learnt while refuting the bound.
-				assume = nil
-				continue
-			}
-			if best == nil {
-				res.Minimal = true // the instance (or strict bound) is proven UNSAT
-				return nil, nil
-			}
-			// The probe may have carried optimistic bounds below the
-			// primary F ≤ C−1; the core names the loosest bound actually
-			// refuted. Only when that reaches C−1 is the model proven
-			// minimal — otherwise raise the floor and re-probe.
-			refuted, jumped := coreRefutedBound(solver, enc, assume)
-			if jumped {
-				res.BoundJumps++
-			}
-			if refuted > lo {
-				lo = refuted
-			}
-			if lo >= best.Cost-1 {
-				res.Minimal = true
-				return best, nil
-			}
-			assume = probeAssumptions(enc, best.Cost-1, lo, opts)
-			continue
-		}
-		sol, err := enc.Decode()
-		if err != nil {
-			return nil, err
-		}
-		best = sol
-		if sol.Cost-1 <= lo {
-			// The model meets the admissible lower bound (or the refuted
-			// floor): minimal without a closing UNSAT probe.
-			res.Minimal = true
-			return best, nil
-		}
-		assume = probeAssumptions(enc, sol.Cost-1, lo, opts)
-	}
-}
-
-// minimizeBinary performs binary search on the cost bound (the "binary
-// search" alternative mentioned in paper §3.3) on the SAME solver and
-// encoding as the initial solve. The lower end starts at the admissible
-// lower bound instead of −1, each midpoint probe additionally assumes one
-// or two optimistic bounds below the midpoint, and an UNSAT probe advances
-// the lower end to the loosest bound in the solver's minimized assumption
-// core — one call can refute a whole range. SAT probes lower the upper end
-// to the model's cost; convergence proves minimality.
-func minimizeBinary(ctx context.Context, solver satProber, enc *encoder.Encoding, res *Result, opts SATOptions, lb int) (*encoder.Solution, error) {
-	assume := startAssumptions(enc, opts)
-	res.Solves++
-	if len(assume) > 0 {
-		res.BoundProbes++
-	}
-	status := solver.SolveContext(ctx, assume...)
-	if status == sat.Unsat && relaxable(solver, opts, len(assume) > 0, false) {
-		res.Solves++
-		status = solver.SolveContext(ctx)
-	}
-	if status == sat.Unknown {
-		// No model exists yet at this point, so there is nothing for
-		// anytime mode to salvage: both exhaustion kinds are errors.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("exact: solve canceled: %w", err)
-		}
-		return nil, ErrBudgetExhausted
-	}
-	if status != sat.Sat {
-		res.Minimal = true // the instance (or strict bound) is proven UNSAT
-		return nil, nil
-	}
-	best, err := enc.Decode()
-	if err != nil {
-		return nil, err
-	}
-	lo := lb - 1 // largest bound refuted: seeded by admissibility, raised by cores
-	for best.Cost > lo+1 {
-		mid := lo + (best.Cost-lo)/2
-		assume := probeAssumptions(enc, mid, lo, opts)
-		res.Solves++
-		res.BoundProbes++
-		switch solver.SolveContext(ctx, assume...) {
-		case sat.Unknown:
-			if err := ctx.Err(); err != nil {
-				if !anytimeReturn(opts, best != nil, err) {
-					return nil, fmt.Errorf("exact: solve canceled: %w", err)
-				}
-			}
-			res.markAnytime(best.Cost, lo)
-			return best, nil // exhausted mid-search: best-effort, proof truncated
-		case sat.Unsat:
-			refuted, jumped := coreRefutedBound(solver, enc, assume)
-			if jumped {
-				res.BoundJumps++
-			}
-			if refuted > lo {
-				lo = refuted
-			}
-		case sat.Sat:
-			sol, err := enc.Decode()
-			if err != nil {
-				return nil, err
-			}
-			best = sol
-		}
-	}
-	res.Minimal = true
-	return best, nil
 }

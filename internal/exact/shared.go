@@ -3,7 +3,6 @@ package exact
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -34,23 +33,21 @@ type subsetInstance struct {
 // whole cost adder tree are shared, so learnt clauses and cost-bound guards
 // carry across subsets.
 //
-// The descent then treats the representatives as ONE minimization problem:
-// each probe assumes a family guard r → (s_a ∨ s_b ∨ …) over the subsets
-// still able to beat the incumbent, plus the usual cost-bound guards. A SAT
-// answer is a model on whichever subset the solver chose — a new incumbent
-// that immediately retires every representative whose admissible lower bound
-// says it cannot do better (Result.SubsetsPruned). An UNSAT answer refutes
-// the bound for the WHOLE pending family in one conflict analysis
-// (Result.CoreFamilyRefutations) — the per-subset "strict incumbent probe"
-// round of the old fan-out collapses into a single call, and the unsat core
-// still names the loosest refuted bound for multi-bound jumps. The last
-// model standing is the §4.1 optimum, with minimality proven for every
-// subset: probed families by UNSAT, retired ones by their admissible bounds,
-// orbit members by symmetry.
+// The descent then treats the representatives as ONE minimization problem,
+// a family for descend: each probe assumes a family guard r → (s_a ∨ s_b ∨ …)
+// over the subsets still able to beat the incumbent, plus the usual
+// cost-bound guards. A SAT answer is a model on whichever subset the solver
+// chose — a new incumbent that immediately retires every representative
+// whose admissible lower bound says it cannot do better
+// (Result.SubsetsPruned). An UNSAT answer refutes the bound for the WHOLE
+// pending family in one conflict analysis (Result.CoreFamilyRefutations),
+// and the unsat core still names the loosest refuted bound for multi-bound
+// jumps. The last model standing is the §4.1 optimum, with minimality proven
+// for every subset: probed families by UNSAT, retired ones by their
+// admissible bounds, orbit members by symmetry.
 //
-// Parallel no longer multiplies subset encodes: it widens the clause-sharing
-// portfolio (sat.Pool) over the one instance, i.e. bound-probe parallelism,
-// clamped into the ThreadBudget.
+// Parallel widens the clause-sharing portfolio (sat.Pool) over the one
+// instance, i.e. bound-probe parallelism, clamped into the ThreadBudget.
 func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []bool, opts Options) (out *Result, err error) {
 	// One recover boundary for the whole shared fan-out: an encoder or
 	// descent bug fails this solve with an error instead of propagating.
@@ -67,49 +64,25 @@ func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch,
 	}
 
 	orbits := arch.SubsetOrbits(subsets, a.Automorphisms(0))
-	orbitHits := len(subsets) - len(orbits)
-
-	insts := make([]*subsetInstance, 0, len(orbits))
-	prePruned := 0
-	strict := opts.SAT.StrictBound && opts.SAT.StartBound > 0
-	minLb := math.MaxInt
-	for _, orbit := range orbits {
+	fam := &subsetFamily{
+		insts:  make([]*subsetInstance, len(orbits)),
+		pruned: make([]bool, len(orbits)),
+		guards: make(map[string]sat.Lit),
+	}
+	archs := make([]*arch.Arch, len(orbits))
+	minLb := 0
+	for i, orbit := range orbits {
 		sub, back := a.Restrict(subsets[orbit[0]])
-		lb := opts.SAT.LowerBound
-		if lb <= 0 {
-			lb = 0
-			if !opts.SAT.NoLowerBound {
-				lb = admissibleLowerBound(encoder.Problem{Skeleton: sk, Arch: sub, PermBefore: pb})
-			}
-		}
-		if lb < minLb {
+		lb := opts.SAT.lowerBound(encoder.Problem{Skeleton: sk, Arch: sub, PermBefore: pb})
+		if i == 0 || lb < minLb {
 			minLb = lb
 		}
-		if strict && lb > opts.SAT.StartBound {
-			// This representative (and its whole orbit) cannot meet the
-			// externally asserted cap: refuted without entering the
-			// encoding at all, exactly like PR 5's per-subset early refute.
-			prePruned++
-			continue
-		}
-		insts = append(insts, &subsetInstance{sub: sub, back: back, lb: lb})
-	}
-	if len(insts) == 0 {
-		res := &Result{
-			WorkArch: a, Engine: EngineSAT.String(), LowerBound: minLb, Minimal: true,
-			SubsetsPruned: prePruned, OrbitHits: orbitHits, Runtime: time.Since(start),
-		}
-		return res, fmt.Errorf("exact: %w (admissible lower bound %d exceeds the strict bound %d on every connected %d-subset)",
-			ErrUnsatisfiable, minLb, opts.SAT.StartBound, n)
+		fam.insts[i] = &subsetInstance{sub: sub, back: back, lb: lb}
+		archs[i] = sub
 	}
 
 	solver := sat.New(sat.Options{MaxConflicts: opts.SAT.MaxConflicts})
-	b := cnf.NewBuilder(solver)
-	archs := make([]*arch.Arch, len(insts))
-	for i, inst := range insts {
-		archs[i] = inst.sub
-	}
-	menc, err := encoder.EncodeSubsets(ctx, encoder.SubsetProblem{Skeleton: sk, PermBefore: pb, Archs: archs}, b)
+	fam.MultiEncoding, err = encoder.EncodeSubsets(ctx, encoder.SubsetProblem{Skeleton: sk, PermBefore: pb, Archs: archs}, cnf.NewBuilder(solver))
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, fmt.Errorf("exact: solve canceled: %w", ctxErr)
@@ -124,305 +97,102 @@ func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch,
 	if opts.Parallel && threads <= 1 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	budget := opts.SAT.Budget
-	budget.Threads = threads
-	threads = budget.Clamp().Threads
-	var prober satProber = solver
-	if threads > 1 {
-		prober = sat.NewPool(solver, threads)
-	}
-
 	res := &Result{
-		WorkArch:      a,
-		PermPoints:    menc.NumPermPoints(),
-		Engine:        EngineSAT.String(),
-		Encodes:       1,
-		LowerBound:    minLb,
-		SATThreads:    threads,
-		SubsetsPruned: prePruned,
-		OrbitHits:     orbitHits,
+		WorkArch:   a,
+		PermPoints: fam.NumPermPoints(),
+		Engine:     EngineSAT.String(),
+		Encodes:    1,
+		LowerBound: minLb,
+		OrbitHits:  len(subsets) - len(orbits),
 	}
-
-	d := &sharedDescent{
-		menc:     menc,
-		prober:   prober,
-		b:        b,
-		res:      res,
-		opts:     opts.SAT,
-		insts:    insts,
-		pruned:   make([]bool, len(insts)),
-		families: make(map[string]sat.Lit),
-		floor:    minLb - 1,
-	}
-	var best *encoder.Solution
-	bestIdx := -1
-	if opts.SAT.BinaryDescent {
-		best, bestIdx, err = d.minimizeBinary(ctx)
-	} else {
-		best, bestIdx, err = d.minimizeLinear(ctx)
-	}
-	snap := prober.Snapshot()
-	res.Conflicts = snap.Conflicts
-	res.SharedClauses = snap.SharedImports
+	best, bestIdx, err := runDescent(ctx, solver, fam, res, opts.SAT, threads, minLb-1)
 	if err != nil {
 		return res, err
 	}
 	if best == nil {
-		if strict {
-			return res, fmt.Errorf("exact: %w (no connected %d-subset admits a mapping with cost ≤ %d)",
-				ErrUnsatisfiable, n, opts.SAT.StartBound)
-		}
 		return res, fmt.Errorf("exact: %w on any connected %d-subset of %s", ErrUnsatisfiable, n, a)
 	}
 	res.Solution = best
 	res.Cost = best.Cost
-	res.WorkArch = insts[bestIdx].sub
-	res.SubsetBack = insts[bestIdx].back
-	if res.Cost == 0 {
-		res.Minimal = true
-	}
+	res.WorkArch = fam.insts[bestIdx].sub
+	res.SubsetBack = fam.insts[bestIdx].back
 	res.Runtime = time.Since(start)
 	return res, nil
 }
 
-// sharedDescent drives the bound descent over the shared §4.1 instance.
-type sharedDescent struct {
-	menc   *encoder.MultiEncoding
-	prober satProber
-	b      *cnf.Builder
-	res    *Result
-	opts   SATOptions
+// subsetFamily is the shared §4.1 instance as a descent family: one member
+// per orbit representative, selected by its selector literal.
+type subsetFamily struct {
+	*encoder.MultiEncoding
 	insts  []*subsetInstance
 	pruned []bool
-	// families memoizes the guard literal per pending-subset family, so
+	// guards memoizes the guard literal per pending-subset family, so
 	// re-probing the same family (common: consecutive bounds between
 	// incumbent changes) reuses the guard and everything learnt under it.
-	families map[string]sat.Lit
-	// floor is the largest bound refuted before any probing: the minimum
-	// admissible lower bound over the representatives, minus one.
-	floor int
+	guards map[string]sat.Lit
 }
 
 // pendingFor returns the indices of representatives still able to host a
 // mapping of cost ≤ bound: not retired by an earlier incumbent and with an
 // admissible lower bound permitting the target.
-func (d *sharedDescent) pendingFor(bound int) []int {
+func (f *subsetFamily) pendingFor(bound int) []int {
 	var out []int
-	for i, inst := range d.insts {
-		if !d.pruned[i] && inst.lb <= bound {
+	for i, inst := range f.insts {
+		if !f.pruned[i] && inst.lb <= bound {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// familyGuard returns the activation literal r with r → (s_i ∨ …) over the
-// pending representatives, minting (and memoizing) it on first use.
-// Assuming r forces the model onto one of the family's subsets.
-func (d *sharedDescent) familyGuard(pending []int) sat.Lit {
+func (f *subsetFamily) pending(bound int) int { return len(f.pendingFor(bound)) }
+
+// guard returns the activation literal r with r → (s_i ∨ …) over the
+// representatives pending at bound, minting (and memoizing) it on first
+// use. Assuming r forces the model onto one of the family's subsets.
+func (f *subsetFamily) guard(bound int) (sat.Lit, bool) {
+	pending := f.pendingFor(bound)
 	key := make([]byte, 0, 2*len(pending))
 	for _, i := range pending {
 		key = append(key, byte(i>>8), byte(i))
 	}
-	if r, ok := d.families[string(key)]; ok {
-		return r
+	if r, ok := f.guards[string(key)]; ok {
+		return r, true
 	}
-	r := d.b.NewLit()
+	r := f.B.NewLit()
 	sels := make([]sat.Lit, len(pending))
 	for j, i := range pending {
-		sels[j] = d.menc.Selector(i)
+		sels[j] = f.Selector(i)
 	}
-	d.b.AddGuardedClause(r, sels...)
-	d.families[string(key)] = r
-	return r
+	f.B.AddGuardedClause(r, sels...)
+	f.guards[string(key)] = r
+	return r, true
 }
 
-// pruneAtLeast retires every representative whose admissible lower bound
-// proves it cannot beat the new incumbent cost. Retired representatives
-// leave the pending families — no probe is ever spent on them again — and
-// their orbits are covered by the same bound argument.
-func (d *sharedDescent) pruneAtLeast(cost int) {
-	for i, inst := range d.insts {
-		if !d.pruned[i] && inst.lb >= cost {
-			d.pruned[i] = true
-			d.res.SubsetsPruned++
+// retire drops every representative whose admissible lower bound proves it
+// cannot beat the new incumbent cost. Retired representatives leave the
+// pending families — no probe is ever spent on them again — and their
+// orbits are covered by the same bound argument.
+func (f *subsetFamily) retire(cost int) int {
+	n := 0
+	for i, inst := range f.insts {
+		if !f.pruned[i] && inst.lb >= cost {
+			f.pruned[i] = true
+			n++
 		}
 	}
+	return n
 }
 
-// decodeWinner reads the model's chosen subset and its solution.
-func (d *sharedDescent) decodeWinner() (*encoder.Solution, int, error) {
-	w, ok := d.menc.TrueSelector()
+// decode reads the model's chosen subset and its solution.
+func (f *subsetFamily) decode() (*encoder.Solution, int, error) {
+	w, ok := f.TrueSelector()
 	if !ok {
 		return nil, -1, fmt.Errorf("exact: satisfying model activates no subset selector")
 	}
-	sol, err := d.menc.DecodeSubset(w)
+	sol, err := f.DecodeSubset(w)
 	if err != nil {
 		return nil, -1, err
 	}
 	return sol, w, nil
-}
-
-// minimizeLinear is minimizeLinear over the shared family: each probe
-// assumes the family guard of the subsets still in the running plus the
-// usual primary/optimistic cost-bound guards.
-func (d *sharedDescent) minimizeLinear(ctx context.Context) (*encoder.Solution, int, error) {
-	var best *encoder.Solution
-	bestIdx := -1
-	lo := d.floor
-	bounds := startAssumptions(d.menc, d.opts)
-	for {
-		primary := math.MaxInt
-		if best != nil {
-			primary = best.Cost - 1
-		}
-		pending := d.pendingFor(primary)
-		if len(pending) == 0 {
-			// Every un-retired representative's admissible bound meets or
-			// exceeds the incumbent: minimal without a closing probe.
-			d.res.Minimal = true
-			return best, bestIdx, nil
-		}
-		assume := append([]sat.Lit{d.familyGuard(pending)}, bounds...)
-		d.res.Solves++
-		if len(bounds) > 0 {
-			d.res.BoundProbes++
-		}
-		status := d.prober.SolveContext(ctx, assume...)
-		switch status {
-		case sat.Unknown:
-			if err := ctx.Err(); err != nil {
-				if !anytimeReturn(d.opts, best != nil, err) {
-					return nil, -1, fmt.Errorf("exact: solve canceled: %w", err)
-				}
-				d.res.markAnytime(best.Cost, lo)
-				return best, bestIdx, nil // deadline hit: best incumbent across the family
-			}
-			if best == nil {
-				return nil, -1, ErrBudgetExhausted
-			}
-			d.res.markAnytime(best.Cost, lo)
-			return best, bestIdx, nil // budget exhausted: best-effort, proof truncated
-		case sat.Unsat:
-			if relaxable(d.prober, d.opts, len(bounds) > 0, best != nil) {
-				// The caller's StartBound undercut the family optimum; drop
-				// the bound guards and keep descending on the same instance.
-				bounds = nil
-				continue
-			}
-			if best == nil {
-				d.res.Minimal = true // no pending subset admits any mapping
-				return nil, -1, nil
-			}
-			if len(pending) > 1 {
-				// One conflict analysis refuted the bound for every subset
-				// in the family — the shared-instance replacement for a
-				// per-subset round of strict-incumbent probes.
-				d.res.CoreFamilyRefutations++
-			}
-			refuted, jumped := coreRefutedBound(d.prober, d.menc, assume)
-			if jumped {
-				d.res.BoundJumps++
-			}
-			if refuted > lo {
-				lo = refuted
-			}
-			if lo >= best.Cost-1 {
-				d.res.Minimal = true
-				return best, bestIdx, nil
-			}
-			bounds = probeAssumptions(d.menc, best.Cost-1, lo, d.opts)
-			continue
-		}
-		sol, w, err := d.decodeWinner()
-		if err != nil {
-			return nil, -1, err
-		}
-		best, bestIdx = sol, w
-		d.pruneAtLeast(sol.Cost)
-		if sol.Cost-1 <= lo {
-			d.res.Minimal = true
-			return best, bestIdx, nil
-		}
-		bounds = probeAssumptions(d.menc, sol.Cost-1, lo, d.opts)
-	}
-}
-
-// minimizeBinary is minimizeBinary over the shared family. Midpoints whose
-// pending family is empty are refuted by the admissible bounds alone — the
-// floor advances without a solver call.
-func (d *sharedDescent) minimizeBinary(ctx context.Context) (*encoder.Solution, int, error) {
-	pending := d.pendingFor(math.MaxInt)
-	bounds := startAssumptions(d.menc, d.opts)
-	assume := append([]sat.Lit{d.familyGuard(pending)}, bounds...)
-	d.res.Solves++
-	if len(bounds) > 0 {
-		d.res.BoundProbes++
-	}
-	status := d.prober.SolveContext(ctx, assume...)
-	if status == sat.Unsat && relaxable(d.prober, d.opts, len(bounds) > 0, false) {
-		d.res.Solves++
-		status = d.prober.SolveContext(ctx, d.familyGuard(pending))
-	}
-	if status == sat.Unknown {
-		// No model exists yet: nothing for anytime mode to salvage.
-		if err := ctx.Err(); err != nil {
-			return nil, -1, fmt.Errorf("exact: solve canceled: %w", err)
-		}
-		return nil, -1, ErrBudgetExhausted
-	}
-	if status != sat.Sat {
-		d.res.Minimal = true // no subset admits any mapping (or any under the strict bound)
-		return nil, -1, nil
-	}
-	best, bestIdx, err := d.decodeWinner()
-	if err != nil {
-		return nil, -1, err
-	}
-	d.pruneAtLeast(best.Cost)
-	lo := d.floor
-	for best.Cost > lo+1 {
-		mid := lo + (best.Cost-lo)/2
-		pending := d.pendingFor(mid)
-		if len(pending) == 0 {
-			// No un-retired representative can even reach mid: the
-			// admissible bounds refute it without a probe.
-			lo = mid
-			continue
-		}
-		bounds := probeAssumptions(d.menc, mid, lo, d.opts)
-		assume := append([]sat.Lit{d.familyGuard(pending)}, bounds...)
-		d.res.Solves++
-		d.res.BoundProbes++
-		switch d.prober.SolveContext(ctx, assume...) {
-		case sat.Unknown:
-			if err := ctx.Err(); err != nil {
-				if !anytimeReturn(d.opts, best != nil, err) {
-					return nil, -1, fmt.Errorf("exact: solve canceled: %w", err)
-				}
-			}
-			d.res.markAnytime(best.Cost, lo)
-			return best, bestIdx, nil // exhausted mid-search: best-effort
-		case sat.Unsat:
-			if len(pending) > 1 {
-				d.res.CoreFamilyRefutations++
-			}
-			refuted, jumped := coreRefutedBound(d.prober, d.menc, assume)
-			if jumped {
-				d.res.BoundJumps++
-			}
-			if refuted > lo {
-				lo = refuted
-			}
-		case sat.Sat:
-			sol, w, err := d.decodeWinner()
-			if err != nil {
-				return nil, -1, err
-			}
-			best, bestIdx = sol, w
-			d.pruneAtLeast(best.Cost)
-		}
-	}
-	d.res.Minimal = true
-	return best, bestIdx, nil
 }

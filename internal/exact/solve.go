@@ -16,9 +16,8 @@ import (
 )
 
 // ErrUnsatisfiable marks a problem with no valid mapping: the interaction
-// graph does not embed in the coupling graph (on any tried subset), or an
-// externally asserted strict SATOptions.StartBound is below the instance's
-// true optimum. Test with errors.Is.
+// graph does not embed in the coupling graph (on any tried subset). Test
+// with errors.Is.
 var ErrUnsatisfiable = errors.New("no valid mapping exists")
 
 // ErrBudgetExhausted marks a SAT run whose conflict budget ran out before
