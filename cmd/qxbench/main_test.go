@@ -28,7 +28,7 @@ func oneRow(threads int, conflicts int64) batchSnapshot {
 		Name:    "3_17_13",
 		Cost:    12,
 		Minimal: true,
-		Stats:   qxmap.StatsJSON{SATEncodes: 1, BoundProbes: 5, SATThreads: threads, SATConflicts: conflicts},
+		Stats:   qxmap.StatsJSON{SolveCounters: qxmap.SolveCounters{SATEncodes: 1, BoundProbes: 5, SATThreads: threads, SATConflicts: conflicts}},
 	}}}
 }
 

@@ -19,20 +19,10 @@ type StatsJSON struct {
 	Engine        string `json:"engine"`
 	CacheHit      bool   `json:"cache_hit"`
 	// CacheTier is "memory" or "disk" on a cache hit, "" on a solve.
-	CacheTier    string `json:"cache_tier"`
-	SATSolves    int    `json:"sat_solves"`
-	SATEncodes   int    `json:"sat_encodes"`
-	SATConflicts int64  `json:"sat_conflicts"`
-	BoundProbes  int    `json:"bound_probes"`
-	BoundJumps   int    `json:"bound_jumps"`
-	LowerBound   int    `json:"lower_bound"`
-	// SubsetsPruned, CoreFamilyRefutations and OrbitHits instrument the
-	// §4.1 shared-instance subset fan-out (all 0 outside it).
-	SubsetsPruned         int   `json:"subsets_pruned"`
-	CoreFamilyRefutations int   `json:"core_family_refutations"`
-	OrbitHits             int   `json:"orbit_hits"`
-	SATThreads            int   `json:"sat_threads"`
-	SharedClauses         int64 `json:"shared_clauses"`
+	CacheTier string `json:"cache_tier"`
+	// SolveCounters flattens in place: sat_solves … shared_clauses follow
+	// cache_tier on the wire.
+	SolveCounters
 	// Degradation and BoundGap report graceful degradation
 	// (Options.Ladder): the rung that produced the plan ("anytime" or
 	// "heuristic") and, for anytime plans, the bracket on the optimum
@@ -45,28 +35,18 @@ type StatsJSON struct {
 // JSON returns the stable wire encoding of the stats.
 func (s Stats) JSON() StatsJSON {
 	return StatsJSON{
-		SkeletonNS:            s.SkeletonTime.Nanoseconds(),
-		SolveNS:               s.SolveTime.Nanoseconds(),
-		MaterializeNS:         s.MaterializeTime.Nanoseconds(),
-		VerifyNS:              s.VerifyTime.Nanoseconds(),
-		OptimizeNS:            s.OptimizeTime.Nanoseconds(),
-		Solver:                s.Solver,
-		Engine:                s.Engine,
-		CacheHit:              s.CacheHit,
-		CacheTier:             s.CacheTier,
-		SATSolves:             s.SATSolves,
-		SATEncodes:            s.SATEncodes,
-		SATConflicts:          s.SATConflicts,
-		BoundProbes:           s.BoundProbes,
-		BoundJumps:            s.BoundJumps,
-		LowerBound:            s.LowerBound,
-		SubsetsPruned:         s.SubsetsPruned,
-		CoreFamilyRefutations: s.CoreFamilyRefutations,
-		OrbitHits:             s.OrbitHits,
-		SATThreads:            s.SATThreads,
-		SharedClauses:         s.SharedClauses,
-		Degradation:           s.Degradation,
-		BoundGap:              s.BoundGap,
+		SkeletonNS:    s.SkeletonTime.Nanoseconds(),
+		SolveNS:       s.SolveTime.Nanoseconds(),
+		MaterializeNS: s.MaterializeTime.Nanoseconds(),
+		VerifyNS:      s.VerifyTime.Nanoseconds(),
+		OptimizeNS:    s.OptimizeTime.Nanoseconds(),
+		Solver:        s.Solver,
+		Engine:        s.Engine,
+		CacheHit:      s.CacheHit,
+		CacheTier:     s.CacheTier,
+		SolveCounters: s.SolveCounters,
+		Degradation:   s.Degradation,
+		BoundGap:      s.BoundGap,
 	}
 }
 

@@ -30,23 +30,25 @@ func goldenResult() *Result {
 		GatesOptimizedAway: 3,
 		CacheHit:           true,
 		Stats: Stats{
-			SkeletonTime:          10 * time.Microsecond,
-			SolveTime:             2 * time.Millisecond,
-			MaterializeTime:       20 * time.Microsecond,
-			VerifyTime:            300 * time.Microsecond,
-			OptimizeTime:          40 * time.Microsecond,
-			Solver:                "exact",
-			Engine:                "sat",
-			CacheHit:              true,
-			SATSolves:             4,
-			SATEncodes:            1,
-			SATConflicts:          123,
-			BoundProbes:           3,
-			BoundJumps:            1,
-			LowerBound:            7,
-			SubsetsPruned:         2,
-			CoreFamilyRefutations: 1,
-			OrbitHits:             5,
+			SkeletonTime:    10 * time.Microsecond,
+			SolveTime:       2 * time.Millisecond,
+			MaterializeTime: 20 * time.Microsecond,
+			VerifyTime:      300 * time.Microsecond,
+			OptimizeTime:    40 * time.Microsecond,
+			Solver:          "exact",
+			Engine:          "sat",
+			CacheHit:        true,
+			SolveCounters: SolveCounters{
+				SATSolves:             4,
+				SATEncodes:            1,
+				SATConflicts:          123,
+				BoundProbes:           3,
+				BoundJumps:            1,
+				LowerBound:            7,
+				SubsetsPruned:         2,
+				CoreFamilyRefutations: 1,
+				OrbitHits:             5,
+			},
 		},
 		Method:  MethodExact,
 		Engine:  EngineSAT,

@@ -33,7 +33,7 @@ func BenchmarkMiller11SAT(b *testing.B) {
 		if err != nil || r.Cost != 26 {
 			b.Fatalf("cost=%v err=%v", r, err)
 		}
-		conflicts += r.Conflicts
+		conflicts += r.SATConflicts
 	}
 	b.StopTimer()
 

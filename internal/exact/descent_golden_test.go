@@ -101,8 +101,8 @@ func descentLine(r *Result, err error) string {
 	var s string
 	if r != nil {
 		s = fmt.Sprintf("cost=%d minimal=%t degraded=%t gap=%d solves=%d probes=%d jumps=%d conflicts=%d lb=%d pruned=%d famref=%d orbits=%d encodes=%d",
-			r.Cost, r.Minimal, r.Degraded, r.BoundGap, r.Solves, r.BoundProbes, r.BoundJumps, r.Conflicts,
-			r.LowerBound, r.SubsetsPruned, r.CoreFamilyRefutations, r.OrbitHits, r.Encodes)
+			r.Cost, r.Minimal, r.Degraded, r.BoundGap, r.SATSolves, r.BoundProbes, r.BoundJumps, r.SATConflicts,
+			r.LowerBound, r.SubsetsPruned, r.CoreFamilyRefutations, r.OrbitHits, r.SATEncodes)
 	}
 	if err != nil {
 		s = strings.TrimSpace(s + " err=" + err.Error())

@@ -150,8 +150,8 @@ func TestCoreGuidedDescentParity(t *testing.T) {
 				if !r.Minimal {
 					t.Errorf("seed %d binary=%v baseline=%v: minimality proof lost", seed, binary, baseline)
 				}
-				if r.Encodes != 1 {
-					t.Errorf("seed %d binary=%v baseline=%v: Encodes = %d, want 1", seed, binary, baseline, r.Encodes)
+				if r.SATEncodes != 1 {
+					t.Errorf("seed %d binary=%v baseline=%v: Encodes = %d, want 1", seed, binary, baseline, r.SATEncodes)
 				}
 			}
 		}
@@ -162,7 +162,7 @@ func TestCoreGuidedDescentParity(t *testing.T) {
 // core-guided descent: on Table-1 benchmarks, binary descent with core
 // jumps and lower-bound seeding must perform strictly fewer bound probes in
 // total than the single-bound unseeded baseline (the PR 4 behavior), while
-// reporting identical DP-verified costs, Encodes == 1 and Minimal == true
+// reporting identical DP-verified costs, SATEncodes == 1 and Minimal == true
 // per instance.
 func TestCoreJumpsAndSeedingCutProbes(t *testing.T) {
 	a := arch.QX4()
@@ -189,8 +189,8 @@ func TestCoreJumpsAndSeedingCutProbes(t *testing.T) {
 			if r.Cost != dp.Cost {
 				t.Fatalf("%s: SAT cost %d, DP cost %d", name, r.Cost, dp.Cost)
 			}
-			if r.Encodes != 1 {
-				t.Errorf("%s: Encodes = %d, want 1", name, r.Encodes)
+			if r.SATEncodes != 1 {
+				t.Errorf("%s: Encodes = %d, want 1", name, r.SATEncodes)
 			}
 			if !r.Minimal {
 				t.Errorf("%s: minimality proof lost", name)

@@ -10,6 +10,63 @@ import (
 	"repro/internal/perm"
 )
 
+// Counters is the work behind one solve: SAT solves, encodes, conflicts and
+// bound probes, and the §4.1 fan-out's pruned subsets and orbit transfers.
+// Result, solver.Plan, qxmap.Stats and StatsJSON embed it (the JSON tags fix
+// the wire names). A result served from a cache reports all zeros.
+type Counters struct {
+	// SATSolves counts CDCL solver invocations across the run.
+	SATSolves int `json:"sat_solves"`
+	// SATEncodes counts instance encodes behind the result. The incremental
+	// descent encodes exactly once, so a plain run reports 1 and so does a
+	// §4.1 subset run, whose subsets all share one instance; anything more
+	// means the engine fell back to re-encoding.
+	SATEncodes int `json:"sat_encodes"`
+	// SATConflicts counts CDCL conflicts across all solver invocations of
+	// the run.
+	SATConflicts int64 `json:"sat_conflicts"`
+	// BoundProbes counts solver invocations that probed a cost bound via
+	// guard assumptions — the descent steps proper, excluding unbounded
+	// initial solves. A §4.1 run counts the family probes on its one
+	// shared instance.
+	BoundProbes int `json:"bound_probes"`
+	// BoundJumps counts UNSAT probes where core analysis paid off: the
+	// minimized assumption core refuted a looser bound than the tightest
+	// one assumed, so the floor advanced past what the probe's conjunction
+	// alone implies.
+	BoundJumps int `json:"bound_jumps"`
+	// LowerBound is the admissible lower bound on F (from the
+	// coupling-graph distance sum) that seeded the descent; 0 when
+	// disabled or trivial. For a §4.1 run it is the bound the shared
+	// descent's floor was seeded from — the minimum over the orbit
+	// representatives' own bounds.
+	LowerBound int `json:"lower_bound"`
+	// SubsetsPruned counts §4.1 subsets retired without any solver probe of
+	// their own: their admissible lower bound showed they could not beat
+	// the incumbent, so the shared SAT instance dropped them from its
+	// pending family (the DP fan-out skips the remaining representatives
+	// once a zero-cost incumbent exists). 0 outside the subset fan-out.
+	SubsetsPruned int `json:"subsets_pruned"`
+	// CoreFamilyRefutations counts UNSAT probes on the shared §4.1
+	// instance whose assumption core refuted the whole pending subset
+	// family at once — one conflict analysis standing in for a per-subset
+	// round of probes. 0 outside the subset fan-out.
+	CoreFamilyRefutations int `json:"core_family_refutations"`
+	// OrbitHits counts §4.1 subsets whose result was transferred from
+	// their coupling-graph automorphism orbit's representative instead of
+	// being re-proven: symmetric architectures (rings, grids) collapse
+	// many subsets onto one proof. 0 on asymmetric architectures and
+	// outside the subset fan-out.
+	OrbitHits int `json:"orbit_hits"`
+	// SATThreads is the clause-sharing portfolio width of a SAT run (1 for
+	// the plain deterministic solver, 0 when not a SAT run).
+	SATThreads int `json:"sat_threads"`
+	// SharedClauses counts learnt clauses imported across portfolio workers
+	// during the run (sat.Stats.SharedImports aggregated over all workers;
+	// 0 when SATThreads ≤ 1).
+	SharedClauses int64 `json:"shared_clauses"`
+}
+
 // Result is the outcome of an exact (or strategy-restricted) mapping run.
 type Result struct {
 	// Cost is the minimal F found under the architecture's cost model:
@@ -29,55 +86,8 @@ type Result struct {
 	PermPoints int
 	// Engine names the solving engine ("sat" or "dp").
 	Engine string
-	// Solves counts reasoning-engine invocations (SAT engine only).
-	Solves int
-	// Encodes counts instance encodes behind this result (SAT engine only;
-	// 0 for the DP engine). The incremental descent encodes exactly once,
-	// so a plain run reports 1 and so does a §4.1 subset run, whose
-	// subsets all share one instance.
-	Encodes int
-	// Conflicts counts CDCL conflicts across all solver invocations of the
-	// run (SAT engine only; 0 for the DP engine).
-	Conflicts int64
-	// BoundProbes counts solver invocations that probed a cost bound via
-	// guard assumptions — the descent steps proper, excluding unbounded
-	// initial solves (SAT engine only). A §4.1 run counts the family probes
-	// on its one shared instance.
-	BoundProbes int
-	// BoundJumps counts UNSAT probes where core analysis paid off: the
-	// minimized assumption core refuted a looser bound than the tightest
-	// one assumed, so the floor advanced past what the probe's conjunction
-	// alone implies (SAT engine only).
-	BoundJumps int
-	// SATThreads is the portfolio width the SAT engine solved with (1 for
-	// the plain deterministic solver; 0 for the DP engine).
-	SATThreads int
-	// SharedClauses counts learnt clauses imported across portfolio workers
-	// during the run (sat.Stats.SharedImports aggregated over all workers;
-	// 0 when SATThreads ≤ 1).
-	SharedClauses int64
-	// LowerBound is the admissible lower bound on F that seeded the
-	// descent (0 when disabled or trivial; SAT engine only). For a §4.1
-	// run it is the bound the shared descent's floor was seeded from —
-	// the minimum over the orbit representatives' own bounds.
-	LowerBound int
-	// SubsetsPruned counts §4.1 subsets retired without any solver probe of
-	// their own: their admissible lower bound showed they could not beat
-	// the incumbent, so the shared SAT instance dropped them from its
-	// pending family (the DP fan-out skips the remaining representatives
-	// once a zero-cost incumbent exists). 0 outside the subset fan-out.
-	SubsetsPruned int
-	// CoreFamilyRefutations counts UNSAT probes on the shared §4.1
-	// instance whose assumption core refuted the whole pending subset
-	// family at once — one conflict analysis standing in for a per-subset
-	// round of probes. 0 outside the subset fan-out.
-	CoreFamilyRefutations int
-	// OrbitHits counts §4.1 subsets whose result was transferred from
-	// their coupling-graph automorphism orbit's representative instead of
-	// being re-proven: symmetric architectures (rings, grids) collapse
-	// many subsets onto one proof. 0 on asymmetric architectures and
-	// outside the subset fan-out.
-	OrbitHits int
+	// Counters is the work the run did.
+	Counters
 	// Minimal reports whether Cost is PROVEN minimal for this instance by
 	// the run itself: the SAT descent reached UNSAT below Cost (or Cost is
 	// 0), or the DP/brute oracle ran to completion. A conflict-budgeted

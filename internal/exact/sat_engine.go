@@ -165,7 +165,7 @@ func (s single) decode() (*encoder.Solution, int, error) {
 // (§3.3, realized by bound tightening instead of a native optimizer).
 //
 // The descent is fully incremental: the instance is encoded exactly once
-// (Result.Encodes == 1) and every bound — the caller's StartBound, each
+// (Result.SATEncodes == 1) and every bound — the caller's StartBound, each
 // linear tightening step, each binary-search midpoint — is enforced by
 // passing the bound's activation literal (Encoding.CostAtMostLit) as a
 // solver assumption. UNSAT probes therefore never poison the instance and
@@ -204,8 +204,7 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		WorkArch:   p.Arch,
 		PermPoints: enc.NumPermPoints(),
 		Engine:     EngineSAT.String(),
-		Encodes:    1,
-		LowerBound: lb,
+		Counters:   Counters{SATEncodes: 1, LowerBound: lb},
 	}
 	best, _, err := runDescent(ctx, solver, single{enc}, res, opts, opts.Threads, lb-1)
 	// Failures past this point still return the Result so callers can
@@ -254,7 +253,7 @@ func runDescent(ctx context.Context, solver *sat.Solver, fam family, res *Result
 	}
 	best, idx, err := descend(ctx, prober, fam, res, opts, lo)
 	snap := prober.Snapshot()
-	res.Conflicts = snap.Conflicts
+	res.SATConflicts = snap.Conflicts
 	res.SharedClauses = snap.SharedImports
 	return best, idx, err
 }
@@ -289,7 +288,7 @@ func descend(ctx context.Context, prober satProber, fam family, res *Result, opt
 		if g, ok := fam.guard(target); ok {
 			assume = append([]sat.Lit{g}, bounds...)
 		}
-		res.Solves++
+		res.SATSolves++
 		if len(bounds) > 0 {
 			res.BoundProbes++
 		}

@@ -101,9 +101,7 @@ func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch,
 		WorkArch:   a,
 		PermPoints: fam.NumPermPoints(),
 		Engine:     EngineSAT.String(),
-		Encodes:    1,
-		LowerBound: minLb,
-		OrbitHits:  len(subsets) - len(orbits),
+		Counters:   Counters{SATEncodes: 1, LowerBound: minLb, OrbitHits: len(subsets) - len(orbits)},
 	}
 	best, bestIdx, err := runDescent(ctx, solver, fam, res, opts.SAT, threads, minLb-1)
 	if err != nil {

@@ -56,8 +56,8 @@ func TestSharedSubsetsDifferentialTable1(t *testing.T) {
 			if !st.Minimal {
 				t.Errorf("%s/%v: shared SAT run lost the minimality proof", name, strat)
 			}
-			if st.Encodes != 1 {
-				t.Errorf("%s/%v: shared fan-out encoded %d times, want 1", name, strat, st.Encodes)
+			if st.SATEncodes != 1 {
+				t.Errorf("%s/%v: shared fan-out encoded %d times, want 1", name, strat, st.SATEncodes)
 			}
 			if st.SubsetBack == nil {
 				t.Errorf("%s/%v: shared result should carry the subset back-mapping", name, strat)
@@ -83,8 +83,8 @@ func TestSharedSubsetsParallelParity(t *testing.T) {
 		if seq.Cost != par.Cost {
 			t.Fatalf("%s: sequential %d vs parallel %d", name, seq.Cost, par.Cost)
 		}
-		if par.Encodes != 1 {
-			t.Errorf("%s: parallel shared fan-out encoded %d times, want 1", name, par.Encodes)
+		if par.SATEncodes != 1 {
+			t.Errorf("%s: parallel shared fan-out encoded %d times, want 1", name, par.SATEncodes)
 		}
 		if !par.Minimal {
 			t.Errorf("%s: parallel shared run lost the minimality proof", name)
@@ -110,8 +110,8 @@ func TestSharedSubsetsBinaryDescentParity(t *testing.T) {
 		if lin.Cost != bin.Cost {
 			t.Fatalf("seed %d: linear=%d binary=%d", seed, lin.Cost, bin.Cost)
 		}
-		if !bin.Minimal || bin.Encodes != 1 {
-			t.Errorf("seed %d: binary minimal=%v encodes=%d", seed, bin.Minimal, bin.Encodes)
+		if !bin.Minimal || bin.SATEncodes != 1 {
+			t.Errorf("seed %d: binary minimal=%v encodes=%d", seed, bin.Minimal, bin.SATEncodes)
 		}
 		applyOps(t, sk, a, bin)
 	}
@@ -142,8 +142,8 @@ func TestSharedSubsetsOrbitTransferRing(t *testing.T) {
 		if st.OrbitHits+st.SubsetsPruned == 0 {
 			t.Errorf("seed %d: symmetric architecture retired no subsets without probes", seed)
 		}
-		if st.Encodes != 1 {
-			t.Errorf("seed %d: encodes = %d, want 1", seed, st.Encodes)
+		if st.SATEncodes != 1 {
+			t.Errorf("seed %d: encodes = %d, want 1", seed, st.SATEncodes)
 		}
 		applyOps(t, sk, a, st)
 	}

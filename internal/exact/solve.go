@@ -94,9 +94,9 @@ func DefaultOptions() Options {
 // returns the best result found. An error is returned for malformed inputs
 // or when no valid mapping exists (ErrUnsatisfiable). On a SAT-engine
 // failure the accompanying Result, when non-nil, carries only the run's
-// counters (Solves/Encodes/Conflicts) — never a Solution. Cancelling the
-// context aborts the run — including every in-flight §4.1 subset instance —
-// and returns an error wrapping ctx.Err().
+// Counters — never a Solution. Cancelling the context aborts the run —
+// including every in-flight §4.1 subset instance — and returns an error
+// wrapping ctx.Err().
 func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options) (*Result, error) {
 	if sk.Len() == 0 {
 		return nil, fmt.Errorf("exact: circuit has no CNOT gates; nothing to map")
@@ -153,7 +153,7 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 	var best atomic.Int64
 	best.Store(math.MaxInt64)
 	var unproven atomic.Bool // a subset's budget ran dry: optimum unconfirmed
-	var solves, encodes, conflicts, boundProbes, boundJumps, sharedClauses, subsetsPruned atomic.Int64
+	var subsetsPruned atomic.Int64
 	results := make([]*Result, len(reps))
 	errs := make([]error, len(reps))
 	runCtx, cancel := context.WithCancel(ctx)
@@ -166,17 +166,6 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 		}
 		sub, back := a.Restrict(reps[i])
 		r, err := solveOne(runCtx, sk, sub, pb, opts)
-		if r != nil {
-			// Charge the subset's work to the run totals whether it won,
-			// was refuted, or ran out of budget — the counters exist to
-			// expose the real cost, pruned probes included.
-			solves.Add(int64(r.Solves))
-			encodes.Add(int64(r.Encodes))
-			conflicts.Add(r.Conflicts)
-			boundProbes.Add(int64(r.BoundProbes))
-			boundJumps.Add(int64(r.BoundJumps))
-			sharedClauses.Add(r.SharedClauses)
-		}
 		if err != nil {
 			if errors.Is(err, ErrUnsatisfiable) {
 				// No mapping on this subset beats the incumbent (or exists
@@ -275,17 +264,10 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 		}
 		return nil, fmt.Errorf("exact: %w on any connected %d-subset of %s", ErrUnsatisfiable, sk.NumQubits, a)
 	}
-	// The counters aggregate every representative attempt — wins,
-	// refutations and truncated probes alike — and minimality is claimed
-	// only when every solved instance proved its own (orbit members are
-	// proven by their representative) and no subset's budget ran dry. A
-	// zero-cost winner is trivially optimal whatever happened elsewhere.
-	win.Solves = int(solves.Load())
-	win.Encodes = int(encodes.Load())
-	win.Conflicts = conflicts.Load()
-	win.BoundProbes = int(boundProbes.Load())
-	win.BoundJumps = int(boundJumps.Load())
-	win.SharedClauses = sharedClauses.Load()
+	// Minimality is claimed only when every solved instance proved its own
+	// (orbit members are proven by their representative) and no subset's
+	// budget ran dry. A zero-cost winner is trivially optimal whatever
+	// happened elsewhere.
 	win.SubsetsPruned = int(subsetsPruned.Load())
 	win.OrbitHits = orbitHits
 	win.Minimal = win.Cost == 0 || (minimal && !unproven.Load())

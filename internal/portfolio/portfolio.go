@@ -139,9 +139,8 @@ func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options
 	if cacheable {
 		key = Fingerprint(sk, a, opts.Exact)
 		if cached, tier, ok := tiers.Lookup(key); ok {
-			cp := *cached
 			return &Result{
-				Result:   &cp,
+				Result:   cached,
 				Winner:   "cache",
 				CacheHit: true,
 				Tier:     tier,

@@ -70,10 +70,14 @@ type Tiered struct {
 // misses: the caller re-solves and overwrites the record. Transient I/O
 // errors get storeAttempts tries with backoff before the miss; corrupt
 // bytes are never retried.
+//
+// The returned result is the caller's own copy with zero Counters: a hit
+// did no solving, whichever tier served it, and the shared cached entry is
+// never handed out for mutation.
 func (t Tiered) Lookup(fp string) (*exact.Result, string, bool) {
 	if t.Mem != nil {
 		if res, ok := t.Mem.Get(fp); ok {
-			return res, TierMemory, true
+			return hit(res), TierMemory, true
 		}
 	}
 	if t.Disk == nil {
@@ -98,7 +102,14 @@ func (t Tiered) Lookup(fp string) (*exact.Result, string, bool) {
 	if t.Mem != nil {
 		t.Mem.Put(fp, res)
 	}
-	return res, TierDisk, true
+	return hit(res), TierDisk, true
+}
+
+// hit returns a copy of a cached result with its work counters cleared.
+func hit(res *exact.Result) *exact.Result {
+	cp := *res
+	cp.Counters = exact.Counters{}
+	return &cp
 }
 
 // Store writes the result through both tiers under the fingerprint. The

@@ -95,7 +95,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal("decoded result materializes different ops")
 	}
 	// Work counters are never persisted: a disk hit did no solving.
-	if got.Solves != 0 || got.Encodes != 0 || got.Conflicts != 0 || got.BoundProbes != 0 {
+	if got.SATSolves != 0 || got.SATEncodes != 0 || got.SATConflicts != 0 || got.BoundProbes != 0 {
 		t.Fatalf("decoded result carries work counters: %+v", got)
 	}
 }
@@ -168,8 +168,8 @@ func TestTieredDiskHitPromotesAndZeroCounters(t *testing.T) {
 	if !ok || tier != TierDisk {
 		t.Fatalf("Lookup = ok=%v tier=%q, want disk hit", ok, tier)
 	}
-	if got.Cost != r.Cost || got.Encodes != 0 {
-		t.Fatalf("disk hit cost=%d encodes=%d, want cost=%d encodes=0", got.Cost, got.Encodes, r.Cost)
+	if got.Cost != r.Cost || got.SATEncodes != 0 {
+		t.Fatalf("disk hit cost=%d encodes=%d, want cost=%d encodes=0", got.Cost, got.SATEncodes, r.Cost)
 	}
 	gets := disk.gets
 	if _, tier, ok := cold.Lookup(fp); !ok || tier != TierMemory {
@@ -177,6 +177,40 @@ func TestTieredDiskHitPromotesAndZeroCounters(t *testing.T) {
 	}
 	if disk.gets != gets {
 		t.Fatal("memory hit still touched the disk tier")
+	}
+}
+
+// TestTieredMemoryHitZeroCounters: a memory hit hands back its own copy
+// with zero work counters, and the cached entry keeps the solve's counters
+// untouched for the next reader.
+func TestTieredMemoryHitZeroCounters(t *testing.T) {
+	a := arch.QX4()
+	sk := mkSkeleton(4, [2]int{0, 1}, [2]int{2, 3}, [2]int{0, 2}, [2]int{1, 3}, [2]int{0, 3}, [2]int{1, 2})
+	r, err := exact.Solve(bg, sk, a, exact.Options{Engine: exact.EngineSAT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := r.Counters
+	if solved.SATEncodes != 1 || solved.SATSolves == 0 {
+		t.Fatalf("SAT solve counters = %+v, want real work", solved)
+	}
+	fp := Fingerprint(sk, a, exact.Options{Engine: exact.EngineSAT})
+	tiers := Tiered{Mem: NewCache(0)}
+	tiers.Store(fp, r)
+	for i := 0; i < 2; i++ {
+		got, tier, ok := tiers.Lookup(fp)
+		if !ok || tier != TierMemory {
+			t.Fatalf("lookup %d = ok=%v tier=%q, want memory hit", i, ok, tier)
+		}
+		if got == r || got.Cost != r.Cost || got.Solution != r.Solution {
+			t.Fatalf("lookup %d: want a copy of the cached result", i)
+		}
+		if got.Counters != (exact.Counters{}) {
+			t.Fatalf("lookup %d: memory hit carries work counters %+v", i, got.Counters)
+		}
+	}
+	if r.Counters != solved {
+		t.Fatalf("lookup mutated the cached entry's counters: %+v, want %+v", r.Counters, solved)
 	}
 }
 
@@ -249,7 +283,7 @@ func TestSolveUsesDiskTier(t *testing.T) {
 	if second.Cost != first.Cost {
 		t.Fatalf("disk-tier cost %d, solved cost %d", second.Cost, first.Cost)
 	}
-	if second.Encodes != 0 || second.BoundProbes != 0 {
+	if second.SATEncodes != 0 || second.BoundProbes != 0 {
 		t.Fatalf("disk-tier hit carries work counters: %+v", second.Result)
 	}
 

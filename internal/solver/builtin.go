@@ -167,30 +167,20 @@ func (s exactSolver) Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Ar
 		return nil, err
 	}
 	return &Plan{
-		Ops:                   ops,
-		Initial:               er.InitialMapping(),
-		Cost:                  er.Cost,
-		Swaps:                 er.Solution.SwapCount(),
-		Switches:              er.Solution.SwitchCount(),
-		PermPoints:            er.PermPoints,
-		Minimal:               s.minimal && er.Minimal,
-		Engine:                er.Engine,
-		CacheHit:              cacheHit,
-		CacheTier:             cacheTier,
-		SATSolves:             er.Solves,
-		SATEncodes:            er.Encodes,
-		SATConflicts:          er.Conflicts,
-		BoundProbes:           er.BoundProbes,
-		BoundJumps:            er.BoundJumps,
-		LowerBound:            er.LowerBound,
-		SubsetsPruned:         er.SubsetsPruned,
-		CoreFamilyRefutations: er.CoreFamilyRefutations,
-		OrbitHits:             er.OrbitHits,
-		SATThreads:            er.SATThreads,
-		SharedClauses:         er.SharedClauses,
-		Degradation:           degradation,
-		BoundGap:              er.BoundGap,
-		Runtime:               time.Since(start),
+		Ops:         ops,
+		Initial:     er.InitialMapping(),
+		Cost:        er.Cost,
+		Swaps:       er.Solution.SwapCount(),
+		Switches:    er.Solution.SwitchCount(),
+		PermPoints:  er.PermPoints,
+		Minimal:     s.minimal && er.Minimal,
+		Engine:      er.Engine,
+		CacheHit:    cacheHit,
+		CacheTier:   cacheTier,
+		Counters:    er.Counters,
+		Degradation: degradation,
+		BoundGap:    er.BoundGap,
+		Runtime:     time.Since(start),
 	}, nil
 }
 

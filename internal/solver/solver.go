@@ -129,36 +129,9 @@ type Plan struct {
 	// portfolio.TierDisk; "" when the plan was solved).
 	CacheHit  bool
 	CacheTier string
-	// SATSolves, SATEncodes and SATConflicts count CDCL invocations,
-	// CNF encodings and conflicts (SAT engine only; 0 otherwise). The
-	// incremental descent encodes once per instance, so SATEncodes is 1
-	// for a plain exact solve and one per solved subset under §4.1.
-	SATSolves    int
-	SATEncodes   int
-	SATConflicts int64
-	// BoundProbes and BoundJumps instrument the SAT descent: probes are
-	// solver calls that tested a cost bound via guard assumptions, jumps
-	// are UNSAT probes whose minimized assumption core refuted a looser
-	// bound than the tightest assumed, skipping several descent steps.
-	BoundProbes int
-	BoundJumps  int
-	// LowerBound is the admissible lower bound on F that seeded the SAT
-	// descent (0 when disabled, trivial, or not a SAT run).
-	LowerBound int
-	// SubsetsPruned, CoreFamilyRefutations and OrbitHits instrument the
-	// §4.1 subset fan-out: subsets retired by their admissible lower bound
-	// without any probe of their own, UNSAT probes whose assumption core
-	// refuted the whole pending subset family at once, and subsets whose
-	// proof was transferred from their coupling-graph automorphism orbit's
-	// representative. All 0 outside the subset fan-out.
-	SubsetsPruned         int
-	CoreFamilyRefutations int
-	OrbitHits             int
-	// SATThreads is the clause-sharing portfolio width the SAT engine ran
-	// with (1 for the plain solver; 0 when not a SAT run), and
-	// SharedClauses the learnt clauses imported across its workers.
-	SATThreads    int
-	SharedClauses int64
+	// Counters is the solve's work, as the exact engine reported it (all
+	// zero for heuristic methods and cache hits).
+	exact.Counters
 	// Degradation names the ladder rung that produced the plan when
 	// Config.Ladder degraded the solve: portfolio.DegradationAnytime for
 	// a deadline-truncated descent's incumbent,

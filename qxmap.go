@@ -295,6 +295,11 @@ type Options struct {
 	Ladder bool
 }
 
+// SolveCounters is the SAT engine's work behind a solve. It is an alias of
+// the exact engine's counter struct, so each counter is declared once and
+// Stats and StatsJSON embed the same fields.
+type SolveCounters = exact.Counters
+
 // Stats instruments one trip through the mapping pipeline: a wall-clock
 // duration per stage plus solver-level counters.
 type Stats struct {
@@ -321,42 +326,9 @@ type Stats struct {
 	// persistent store; empty when the instance was solved).
 	CacheHit  bool
 	CacheTier string
-	// SATSolves, SATEncodes and SATConflicts count CDCL invocations, CNF
-	// encodings and conflicts across the solve (SAT engine only). The
-	// incremental descent encodes each instance exactly once, whatever the
-	// number of bound probes, so SATEncodes is 1 for a plain exact solve
-	// (one per solved subset under §4.1) — a regression here means the
-	// engine fell back to re-encoding.
-	SATSolves    int
-	SATEncodes   int
-	SATConflicts int64
-	// BoundProbes and BoundJumps instrument the SAT descent: probes are
-	// solver calls that tested a cost bound via guard assumptions; jumps
-	// are UNSAT probes whose minimized assumption core refuted a looser
-	// bound than the tightest assumed, letting one call skip several
-	// descent steps.
-	BoundProbes int
-	BoundJumps  int
-	// LowerBound is the admissible lower bound on F (from the
-	// coupling-graph distance sum) that seeded the SAT descent; 0 when
-	// trivial, disabled via Options.SATNoLowerBound, or not a SAT run.
-	LowerBound int
-	// SubsetsPruned, CoreFamilyRefutations and OrbitHits instrument the
-	// §4.1 subset fan-out: subsets retired by their admissible lower bound
-	// without any solver probe of their own, UNSAT probes whose assumption
-	// core refuted the whole pending subset family at once, and subsets
-	// whose proof was transferred from their coupling-graph automorphism
-	// orbit's representative (symmetric architectures only). All 0 outside
-	// the subset fan-out.
-	SubsetsPruned         int
-	CoreFamilyRefutations int
-	OrbitHits             int
-	// SATThreads is the portfolio width the SAT engine solved with (1 for
-	// the plain solver, 0 when not a SAT run); SharedClauses counts learnt
-	// clauses imported across the portfolio's workers (0 when SATThreads
-	// ≤ 1).
-	SATThreads    int
-	SharedClauses int64
+	// SolveCounters is the solve's SAT work (zero for heuristic methods
+	// and cache hits).
+	SolveCounters
 	// Degradation names the ladder rung that produced the plan when
 	// Options.Ladder degraded the solve ("anytime" or "heuristic"; ""
 	// for a full solve), and BoundGap brackets an anytime plan's
@@ -526,17 +498,7 @@ func (m *Mapper) runPipeline(ctx context.Context, c *Circuit, a *Architecture, o
 	res.Stats.Engine = plan.Engine
 	res.Stats.CacheHit = plan.CacheHit
 	res.Stats.CacheTier = plan.CacheTier
-	res.Stats.SATSolves = plan.SATSolves
-	res.Stats.SATEncodes = plan.SATEncodes
-	res.Stats.SATConflicts = plan.SATConflicts
-	res.Stats.BoundProbes = plan.BoundProbes
-	res.Stats.BoundJumps = plan.BoundJumps
-	res.Stats.LowerBound = plan.LowerBound
-	res.Stats.SubsetsPruned = plan.SubsetsPruned
-	res.Stats.CoreFamilyRefutations = plan.CoreFamilyRefutations
-	res.Stats.OrbitHits = plan.OrbitHits
-	res.Stats.SATThreads = plan.SATThreads
-	res.Stats.SharedClauses = plan.SharedClauses
+	res.Stats.SolveCounters = plan.Counters
 	res.Stats.Degradation = plan.Degradation
 	res.Stats.BoundGap = plan.BoundGap
 	if e, err := ParseEngine(plan.Engine); err == nil {

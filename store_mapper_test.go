@@ -77,6 +77,44 @@ func TestMapperStorePersistence(t *testing.T) {
 	}
 }
 
+// TestMapperMemoryHitReportsNoWork: a memory-tier hit did no solving, so
+// its Stats carry zero SAT counters and Totals keep only the one real
+// solve's work — the same as a disk hit after a restart.
+func TestMapperMemoryHitReportsNoWork(t *testing.T) {
+	m, err := NewMapper(WithStore(t.TempDir()), WithWorkers(1), WithEngine(EngineSAT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	c, a := Figure1a(), QX4()
+
+	first, err := m.Map(context.Background(), c, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit || first.Stats.SATEncodes != 1 || first.Stats.SATSolves == 0 {
+		t.Fatalf("first map = hit=%v %+v, want a SAT solve", first.CacheHit, first.Stats.SolveCounters)
+	}
+	solved := m.Totals()
+	for i := 0; i < 2; i++ {
+		r, err := m.Map(context.Background(), c, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.CacheTier != "memory" || r.Cost != first.Cost {
+			t.Fatalf("repeat %d: tier=%q cost=%d, want memory hit at F=%d", i, r.CacheTier, r.Cost, first.Cost)
+		}
+		if r.Stats.SolveCounters != (SolveCounters{}) {
+			t.Fatalf("repeat %d: memory hit reports solve work %+v", i, r.Stats.SolveCounters)
+		}
+	}
+	tot := m.Totals()
+	if tot.MemoryHits != 2 || tot.SATSolves != solved.SATSolves || tot.SATEncodes != 1 ||
+		tot.SATConflicts != solved.SATConflicts || tot.BoundProbes != solved.BoundProbes {
+		t.Fatalf("totals after two memory hits = %+v, want the solve's alone (%+v)", tot, solved)
+	}
+}
+
 // TestMapperStoreConcurrent hammers one store-backed mapper with identical
 // and distinct instances from many goroutines (run under -race in CI): the
 // two-tier write-through path must be data-race free and every response
